@@ -8,16 +8,16 @@ sweeps and figure-data output.
 """
 
 from .entropy import BBM_BOUND, EntropyReport, bbm_check, entropy_pipeline, \
-    shannon_momentum, shannon_position
+    shannon_momentum, shannon_position, state_entropies
 from .model import BoundStateReport, DimensionlessSet, ModelParams, \
     NoBoundStateError, QuantumNumbers, dimensionless, effective_potential, \
     energy_closed_form, greene_aldrich_ratio, quantization_residual, \
     quantization_root_bisection, vector_potential_phi
-from .numerics import DomainError, NonConvergenceError, QuadratureSpec, \
-    bisect, integrate, integrate_samples
+from .numerics import DomainError, NonConvergenceError, bisect, \
+    integrate_samples
 from .spectral import MomentumGrid, default_momentum_grid, fourier_transform, \
     parseval_residual
-from .specfun import HypergeometricParams, hyp2f1, hypergeometric_2f1
+from .specfun import hyp2f1
 from .wavefunction import SampledFunction, count_radial_nodes, normalize, \
     probability_density, radial_eigenfunction, transformed_equation_residual
 
@@ -25,15 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BBM_BOUND", "BoundStateReport", "DimensionlessSet", "DomainError",
-    "EntropyReport", "HypergeometricParams", "ModelParams", "MomentumGrid",
-    "NoBoundStateError", "NonConvergenceError", "QuadratureSpec",
-    "QuantumNumbers", "SampledFunction", "bbm_check", "bisect",
-    "count_radial_nodes", "default_momentum_grid", "dimensionless",
+    "EntropyReport", "ModelParams", "MomentumGrid", "NoBoundStateError",
+    "NonConvergenceError", "QuantumNumbers", "SampledFunction", "bbm_check",
+    "bisect", "count_radial_nodes", "default_momentum_grid", "dimensionless",
     "effective_potential", "energy_closed_form", "entropy_pipeline",
-    "fourier_transform", "greene_aldrich_ratio", "hyp2f1",
-    "hypergeometric_2f1", "integrate", "integrate_samples", "normalize",
-    "parseval_residual", "probability_density", "quantization_residual",
-    "quantization_root_bisection", "radial_eigenfunction",
-    "shannon_momentum", "shannon_position", "transformed_equation_residual",
-    "vector_potential_phi",
+    "fourier_transform", "greene_aldrich_ratio", "hyp2f1", "integrate_samples",
+    "normalize", "parseval_residual", "probability_density",
+    "quantization_residual", "quantization_root_bisection",
+    "radial_eigenfunction", "shannon_momentum", "shannon_position",
+    "state_entropies", "transformed_equation_residual", "vector_potential_phi",
 ]

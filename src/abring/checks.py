@@ -20,17 +20,11 @@ def _gaussian_saturation() -> tuple[bool, str]:
     r = np.linspace(1e-5, 16.0, 4097)
     psi = wavefunction.SampledFunction(
         r, np.pi**-0.25 * np.exp(-((r - 8.0) ** 2) / 2.0), "position")
-    psi, _ = wavefunction.normalize(psi)
-    s_r = entropy.shannon_position(wavefunction.probability_density(psi))
-    psi_k = spectral.fourier_transform(psi, spectral.MomentumGrid(8.0, 2049))
-    rho_k = wavefunction.probability_density(psi_k)
-    mass = float(np.real(rho_k.values @ rho_k.weights()))
-    rho_k = wavefunction.SampledFunction(rho_k.x, rho_k.values / mass, "momentum")
-    s_k = entropy.shannon_momentum(rho_k)
+    rep = entropy.state_entropies(psi, spectral.MomentumGrid(8.0, 2049))
     target = 0.5 * (1.0 + math.log(math.pi))
-    ok = abs(s_r - target) < 1e-3 and abs(s_k - target) < 1e-3 \
-        and abs(s_r + s_k - entropy.BBM_BOUND) < 2e-3
-    return ok, f"S_r={s_r:.5f} S_k={s_k:.5f} (Gaussian saturates at {target:.5f} each)"
+    ok = abs(rep.s_r - target) < 1e-3 and abs(rep.s_k - target) < 1e-3 \
+        and abs(rep.sum - entropy.BBM_BOUND) < 2e-3
+    return ok, f"S_r={rep.s_r:.5f} S_k={rep.s_k:.5f} (Gaussian saturates at {target:.5f} each)"
 
 
 def _coulomb_limit() -> tuple[bool, str]:

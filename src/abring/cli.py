@@ -10,9 +10,9 @@ parameter group, e.g.
     b_field,phi_ab = 1,1 2,1 4,1 1,2 1,4
 
 gives 3 x 5 = 15 rows. Exit codes: 0 ok, 2 config error, 3 no computable
-state anywhere in the sweep, 4 numerical non-convergence. ABRING_THREADS
-caps worker threads for sweep evaluation (output order is deterministic
-regardless).
+state anywhere in the sweep, 4 numerical non-convergence. ABRING_THREADS,
+a positive integer, caps worker threads for sweep evaluation (output order
+is deterministic regardless).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entropy, model, spectral, wavefunction
+from . import entropy, model
 from .numerics import DomainError, NonConvergenceError
 
 PHYSICAL_KEYS = ("mass", "hbar", "delta", "v1", "b_field", "xi", "phi_ab", "alpha")
@@ -57,6 +58,7 @@ class RunConfig:
     sweep: list = field(default_factory=list)      # [(names tuple, [value tuples])]
     out_format: str = "csv"
     out_path: str = "-"
+    threads: int = 1                               # from ABRING_THREADS, set by main
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -101,12 +103,17 @@ def parse_config(path: str | Path) -> RunConfig:
     if parser.has_section("grid"):
         for key, raw in parser.items("grid"):
             if key in ("r_points", "k_points"):
-                setattr(cfg, key, _parse_int("grid", key, raw))
+                value = _parse_int("grid", key, raw)
+                if value < 3:
+                    raise ConfigError(f"[grid] {key} = {value} is below 3 points")
             elif key in ("r_max", "k_max"):
-                setattr(cfg, key, None if raw.strip().lower() == "auto"
-                        else _parse_float("grid", key, raw))
+                value = None if raw.strip().lower() == "auto" else _parse_float("grid", key, raw)
+                if value is not None and not 0.0 < value < math.inf:
+                    raise ConfigError(f"[grid] {key} = {raw!r} is not a positive finite "
+                                      f"number or auto")
             else:
                 raise ConfigError(f"unknown [grid] key {key!r}")
+            setattr(cfg, key, value)
 
     if parser.has_section("sweep"):
         for key, raw in parser.items("sweep"):
@@ -183,10 +190,22 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _map_points(fn, points):
-    workers = int(os.environ.get("ABRING_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+def _thread_count() -> int:
+    raw = os.environ.get("ABRING_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"ABRING_THREADS = {raw!r} is not a positive integer")
+    return workers
+
+
+def _map_points(fn, cfg: RunConfig):
+    """fn over every sweep point, on cfg.threads threads; results in sweep order."""
+    points = expand_sweep(cfg)
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(fn, points))
     return [fn(p) for p in points]
 
@@ -194,14 +213,12 @@ def _map_points(fn, points):
 def cmd_energy(cfg: RunConfig, out_path: str | None = None,
                out_format: str | None = None) -> int:
     """One row per sweep point: closed-form energy or a graceful non-existence."""
-    points = expand_sweep(cfg)
-
     def solve(point):
         overrides, params, qn = point
         report = model.energy_closed_form(params, qn)
         return overrides, params, qn, report
 
-    rows = _map_points(solve, points)
+    rows = _map_points(solve, cfg)
     out_format = out_format or cfg.out_format
     if out_format == "csv":
         lines = [ENERGY_HEADER]
@@ -229,8 +246,6 @@ def cmd_energy(cfg: RunConfig, out_path: str | None = None,
 def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
                 out_format: str | None = None) -> int:
     """Entropy table over the sweep; skips unbound points, exit 3 if all are."""
-    points = expand_sweep(cfg)
-
     def solve(point):
         overrides, params, qn = point
         try:
@@ -240,7 +255,7 @@ def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
             report = None
         return overrides, params, qn, report
 
-    rows = _map_points(solve, points)
+    rows = _map_points(solve, cfg)
     if all(rep is None for *_ignored, rep in rows):
         print("error: no sweep point has a bound state", file=sys.stderr)
         return 3
@@ -311,29 +326,18 @@ def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
             v_eff = model.effective_potential(params, qn, r)
             _write_curve(directory / f"{fig_id}_{label}.dat", params, qn, r, v_eff)
             wrote += 1
-            # panel 2: normalized density, when the state exists
+            # panels 2 and k: normalized |psi|^2 and |psi~|^2, when the state exists
             try:
-                psi = wavefunction.radial_eigenfunction(params, qn, cfg.r_points, cfg.r_max)
+                report = entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points,
+                                                  cfg.r_max, cfg.k_max)
             except model.NoBoundStateError as exc:
                 print(f"note: {fig_id.replace('fig1', 'fig2')}_{label}: no bound state "
                       f"({exc.reason}); curve skipped", file=sys.stderr)
                 continue
-            psi, _ = wavefunction.normalize(psi)
-            rho = wavefunction.probability_density(psi)
-            _write_curve(directory / f"{fig_id.replace('fig1', 'fig2')}_{label}.dat",
-                         params, qn, rho.x, np.real(rho.values))
-            wrote += 1
-            # momentum-space companion: renormalized |psi~|^2
-            state = model.energy_closed_form(params, qn)
-            grid = (spectral.MomentumGrid(cfg.k_max, cfg.k_points) if cfg.k_max
-                    else spectral.default_momentum_grid(state.dimensionless.lam,
-                                                        params.delta, cfg.k_points))
-            rho_k = wavefunction.probability_density(
-                spectral.fourier_transform(psi, grid))
-            mass_k = float(np.real(rho_k.values @ rho_k.weights()))
-            _write_curve(directory / f"{fig_id.replace('fig1', 'figk')}_{label}.dat",
-                         params, qn, rho_k.x, np.real(rho_k.values) / mass_k)
-            wrote += 1
+            for prefix, rho in (("fig2", report.rho_r), ("figk", report.rho_k)):
+                _write_curve(directory / f"{fig_id.replace('fig1', prefix)}_{label}.dat",
+                             params, qn, rho.x, rho.values)
+                wrote += 1
     print(f"wrote {wrote} curve files to {directory}", file=sys.stderr)
     return 0
 
@@ -372,6 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_check()
     try:
         cfg = parse_config(args.config)
+        cfg.threads = _thread_count()
         if args.command == "energy":
             return cmd_energy(cfg, args.out, args.format)
         if args.command == "entropy":

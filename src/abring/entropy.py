@@ -10,7 +10,7 @@ packages that comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,10 @@ class EntropyReport:
 
     `sum` is stored as s_r + s_k; `passed` means sum >= BBM_BOUND - 1e-3.
     norm_residual_r/_k record how far the respective density was from unit
-    mass before any renormalization folded into the pipeline.
+    mass before any renormalization folded into the pipeline. rho_r/rho_k
+    are the normalized densities the entropies were taken over (None when
+    the report was assembled from bare numbers); they are not compared and
+    not serialized.
     """
 
     s_r: float
@@ -40,6 +43,8 @@ class EntropyReport:
     passed: bool
     norm_residual_r: float = 0.0
     norm_residual_k: float = 0.0
+    rho_r: wavefunction.SampledFunction | None = field(default=None, compare=False, repr=False)
+    rho_k: wavefunction.SampledFunction | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,27 +94,51 @@ def bbm_check(s_r: float, s_k: float, norm_residual_r: float = 0.0,
                          margin >= -BBM_SLACK, norm_residual_r, norm_residual_k)
 
 
+def state_entropies(psi: wavefunction.SampledFunction,
+                    grid: spectral.MomentumGrid) -> EntropyReport:
+    """Normalize -> S_r, transform -> renormalize -> S_k for one sampled state.
+
+    The report carries the normalized densities rho_r and rho_k. The momentum
+    density is renormalized before S_k so the entropy is taken over a genuine
+    density even under window truncation; the pre-renormalization deficit is
+    reported as norm_residual_k. Any stage failure is re-raised tagged with
+    the stage name.
+    """
+    stage = "normalize-position"
+    try:
+        psi, _ = wavefunction.normalize(psi)
+        rho_r = wavefunction.probability_density(psi)
+        mass_r = float(rho_r.values @ rho_r.weights())
+        stage = "position-entropy"
+        s_r = shannon_position(rho_r)
+        stage = "fourier"
+        rho_k = wavefunction.probability_density(spectral.fourier_transform(psi, grid))
+        stage = "momentum-entropy"
+        mass_k = float(rho_k.values @ rho_k.weights())
+        if mass_k <= 0.0 or not math.isfinite(mass_k):
+            raise DomainError("momentum density has no mass")
+        rho_k = replace(rho_k, values=rho_k.values / mass_k)
+        s_k = shannon_momentum(rho_k)
+    except Exception as exc:
+        raise RuntimeError(f"entropy pipeline failed at stage '{stage}': {exc}") from exc
+    report = bbm_check(s_r, s_k, abs(mass_r - 1.0), abs(mass_r - mass_k))
+    return replace(report, rho_r=rho_r, rho_k=rho_k)
+
+
 def entropy_pipeline(params: model.ModelParams, qn: model.QuantumNumbers,
                      r_points: int = 4096, k_points: int = 4096,
                      r_max: float | None = None,
                      k_max: float | None = None) -> EntropyReport:
-    """Eigenfunction -> normalize -> S_r, transform -> renormalize -> S_k -> report.
+    """Eigenfunction on the position and momentum grids -> `state_entropies`.
 
-    NoBoundStateError propagates untouched (sweeps skip those points); any
-    other stage failure is re-raised tagged with the stage name. The momentum
-    density is renormalized before S_k so the entropy is taken over a genuine
-    density even under window truncation; the pre-renormalization deficit is
-    reported as norm_residual_k.
+    The only path from a state to its densities and entropies. k_max None
+    picks the window 40*delta*max(1, lam). NoBoundStateError propagates
+    untouched (sweeps skip those points); any other stage failure is
+    re-raised tagged with the stage name.
     """
     stage = "eigenfunction"
     try:
         psi = wavefunction.radial_eigenfunction(params, qn, r_points, r_max)
-        stage = "normalize-position"
-        psi, _ = wavefunction.normalize(psi)
-        rho_r = wavefunction.probability_density(psi)
-        norm_residual_r = abs(float(np.real(rho_r.values @ rho_r.weights())) - 1.0)
-        stage = "position-entropy"
-        s_r = shannon_position(rho_r)
         stage = "fourier"
         if k_max is None:
             grid = spectral.default_momentum_grid(
@@ -117,18 +146,8 @@ def entropy_pipeline(params: model.ModelParams, qn: model.QuantumNumbers,
                 params.delta, k_points)
         else:
             grid = spectral.MomentumGrid(k_max, k_points)
-        psi_k = spectral.fourier_transform(psi, grid)
-        norm_residual_k = spectral.parseval_residual(psi, psi_k)
-        stage = "momentum-entropy"
-        rho_k = wavefunction.probability_density(psi_k)
-        mass_k = float(np.real(rho_k.values @ rho_k.weights()))
-        if mass_k <= 0.0 or not math.isfinite(mass_k):
-            raise DomainError("momentum density has no mass")
-        rho_k = wavefunction.SampledFunction(rho_k.x, rho_k.values / mass_k, "momentum",
-                                             rho_k.truncation_warning)
-        s_k = shannon_momentum(rho_k)
     except (model.NoBoundStateError, NonConvergenceError):
         raise
     except Exception as exc:
         raise RuntimeError(f"entropy pipeline failed at stage '{stage}': {exc}") from exc
-    return bbm_check(s_r, s_k, norm_residual_r, norm_residual_k)
+    return state_entropies(psi, grid)

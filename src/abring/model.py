@@ -57,16 +57,21 @@ class ModelParams:
     light_speed: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
-            raise DomainError("mass and hbar must be > 0")
-        if self.delta <= 0:
-            raise DomainError("screening delta must be > 0")
-        if self.v1 < 0:
-            raise DomainError("coupling v1 must be >= 0")
-        if self.b_field < 0:
-            raise DomainError("b_field must be >= 0")
-        if self.alpha <= 0:
-            raise DomainError("deficit parameter alpha must be > 0")
+        # a chained comparison is False on NaN, so each bound also refuses NaN and inf
+        inf = math.inf
+        if not (0 < self.mass < inf and 0 < self.hbar < inf):
+            raise DomainError("mass and hbar must be finite and > 0")
+        if not 0 < self.delta < inf:
+            raise DomainError("screening delta must be finite and > 0")
+        if not 0 <= self.v1 < inf:
+            raise DomainError("coupling v1 must be finite and >= 0")
+        if not 0 <= self.b_field < inf:
+            raise DomainError("b_field must be finite and >= 0")
+        if not 0 < self.alpha < inf:
+            raise DomainError("deficit parameter alpha must be finite and > 0")
+        if not (-inf < self.xi < inf and -inf < self.charge < inf
+                and -inf < self.light_speed < inf):
+            raise DomainError("xi, charge and light_speed must be finite")
 
     @property
     def omega_c(self) -> float:

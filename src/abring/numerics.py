@@ -1,14 +1,11 @@
 """Shared quadrature and root-finding engine.
 
-Two entry styles: `integrate` drives an adaptive rule over a callable,
 `integrate_samples` applies composite-Simpson weights to values already
 sampled on a uniform grid (the wavefunction/entropy modules all work on
-fixed grids, so the weight path is the hot one).
+fixed grids); `bisect` finds roots on a sign-changing bracket.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,31 +20,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, last_estimate=None):
         super().__init__(message)
         self.last_estimate = last_estimate
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive integration settings.
-
-    rule      -- "simpson" (composite, refined by panel doubling) or
-                 "gauss-legendre" (fixed-order panels, refined likewise)
-    panels    -- initial panel count
-    tolerance -- target |value - true| <= max(tolerance*|value|, tolerance)
-    max_depth -- refinement doublings before giving up
-    """
-
-    rule: str = "simpson"
-    panels: int = 8
-    tolerance: float = 1e-10
-    max_depth: int = 22
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be > 0")
-        if self.panels < 1:
-            raise DomainError("panels must be >= 1")
-        if self.rule not in ("simpson", "gauss-legendre"):
-            raise DomainError(f"unknown quadrature rule {self.rule!r}")
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -84,66 +56,6 @@ def integrate_samples(values: np.ndarray, h: float) -> float | complex:
     values = np.asarray(values)
     w = simpson_weights(values.shape[-1], h)
     return values @ w
-
-
-def _sample(f, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    # scalar-only callable
-    return np.array([float(f(xi)) for xi in x])
-
-
-def _fixed_simpson(f, a: float, b: float, panels: int) -> float:
-    x = np.linspace(a, b, panels + 1)
-    y = _sample(f, x)
-    return float(y @ simpson_weights(panels + 1, x[1] - x[0]))
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _fixed_gauss(f, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-    y = _sample(f, x).reshape(panels, -1)
-    return float(np.sum(y @ _GL_WEIGHTS) * half)
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None):
-    """Adaptively integrate f over [a, b].
-
-    Returns (value, error_estimate). The estimate is the Richardson
-    comparison of successive refinements (|I_h - I_h/2| / 15 for Simpson,
-    plain difference for Gauss-Legendre panels). Raises NonConvergenceError
-    at max_depth with the last estimate attached.
-    """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not a < b:
-        raise DomainError("integration bounds must satisfy a < b")
-    rule = _fixed_simpson if spec.rule == "simpson" else _fixed_gauss
-    shrink = 15.0 if spec.rule == "simpson" else 1.0
-    panels = spec.panels
-    prev = rule(f, a, b, panels)
-    value = prev
-    err = np.inf
-    for _ in range(spec.max_depth):
-        panels *= 2
-        value = rule(f, a, b, panels)
-        err = abs(value - prev) / shrink
-        if err <= max(spec.tolerance * abs(value), spec.tolerance):
-            return value, err
-        prev = value
-    raise NonConvergenceError(
-        f"quadrature did not reach {spec.tolerance:g} after {spec.max_depth} refinements",
-        last_estimate=(value, err),
-    )
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-12, rtol: float = 0.0,

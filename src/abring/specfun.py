@@ -1,35 +1,22 @@
-"""Gauss hypergeometric series 2F1(a, b; c; s).
+"""Terminating Gauss hypergeometric series 2F1(a, b; c; s).
 
-Only what the radial eigenfunctions need: real parameters, argument in
-[0, 1). Bound states always hand us a non-positive integer parameter, so
-the series is a terminating polynomial and the evaluation is a stable
-forward recurrence on the term ratio
+Only what the radial eigenfunctions need: real parameters with a or b a
+non-positive integer. Bound states always hand us such a parameter, so the
+series is a polynomial and the evaluation is a stable forward recurrence on
+the term ratio
 
     t_{k+1} / t_k = (a+k)(b+k) s / ((c+k)(k+1)).
 
-A non-terminating fallback sums the same recurrence to a 1e-15 relative
-term tolerance (capped at 1e5 terms).
+Non-terminating parameters are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import DomainError, NonConvergenceError
+from .numerics import DomainError
 
 _INT_TOL = 1e-8
-_TERM_TOL = 1e-15
-_MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    a: float
-    b: float
-    c: float
-    s: float
 
 
 def _as_nonpositive_int(x: float) -> int | None:
@@ -47,45 +34,25 @@ def terminating_degree(a: float, b: float) -> int | None:
 
 
 def hyp2f1(a: float, b: float, c: float, s):
-    """Evaluate 2F1(a, b; c; s) for scalar or array s.
+    """Evaluate the terminating series 2F1(a, b; c; s) for scalar or array s.
 
-    Terminating series (a or b a non-positive integer) are summed exactly as
-    degree-|a| polynomials, valid for any real s. Otherwise requires |s| < 1.
-    Raises DomainError if c hits a non-positive integer before the series
-    terminates.
+    a or b must be a non-positive integer; the series is then summed exactly
+    as a polynomial of degree min(|a|, |b|), valid for any real s. Raises
+    DomainError for non-terminating parameters, or if c hits a non-positive
+    integer before the series terminates.
     """
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-
     degree = terminating_degree(a, b)
     if degree is None:
-        if np.any(s_arr >= 1.0) or np.any(s_arr <= -1.0):
-            raise DomainError("non-terminating series needs |s| < 1")
-        n_terms = _MAX_TERMS
-    else:
-        n_terms = degree
-
+        raise DomainError(f"2F1({a}, {b}; {c}; s) does not terminate: "
+                          f"a or b must be a non-positive integer")
     c_int = _as_nonpositive_int(c)
-    if c_int is not None and (degree is None or -c_int < degree):
+    if c_int is not None and -c_int < degree:
         raise DomainError(f"c={c} hits a non-positive integer before termination")
 
+    s_arr = np.asarray(s, dtype=float)
     total = np.ones_like(s_arr)
     term = np.ones_like(s_arr)
-    for k in range(n_terms):
+    for k in range(degree):
         term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * s_arr
         total = total + term
-        if degree is None and np.all(np.abs(term) <= _TERM_TOL * np.abs(total)):
-            break
-    else:
-        if degree is None:
-            raise NonConvergenceError(
-                f"2F1 series did not converge within {_MAX_TERMS} terms",
-                last_estimate=total if not scalar else float(total[0]),
-            )
-    return float(total[0]) if scalar else total
-
-
-def hypergeometric_2f1(p: HypergeometricParams):
-    """2F1 evaluated from a parameter bundle (convenience wrapper)."""
-    return hyp2f1(p.a, p.b, p.c, p.s)
+    return float(total) if s_arr.ndim == 0 else total

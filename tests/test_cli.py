@@ -83,6 +83,14 @@ def test_config_errors_exit_2(tmp_path):
     assert run(["energy", "--config", both_flux]) == 2
     bad_tuple = write_config(tmp_path, "[sweep]\nn,m = 0,0 1\n", "bad4.ini")
     assert run(["energy", "--config", bad_tuple]) == 2
+    # non-finite parameters and unusable grids are refused before any solve
+    for i, body in enumerate(["[physical]\ndelta = nan\n", "[physical]\nv1 = inf\n",
+                              "[grid]\nr_points = 2\nk_points = 2\n",
+                              "[grid]\nr_points = -5\n", "[grid]\nk_max = 0\n",
+                              "[grid]\nr_max = inf\n", "[grid]\nr_max = nan\n"]):
+        cfg = write_config(tmp_path, body, f"bad_input{i}.ini")
+        for command in ("energy", "entropy", "figures"):
+            assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
 
 
 def test_entropy_exit_3_when_nothing_is_bound(tmp_path):
@@ -181,6 +189,19 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("ABRING_THREADS", "4")
     assert run(["entropy", "--config", cfg, "--out", threaded]) == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    cfg = write_config(tmp_path, SMALL_SWEEP)
+    for value in ("x", "0"):
+        monkeypatch.setenv("ABRING_THREADS", value)
+        assert run(["entropy", "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
+        assert "config error: ABRING_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 FIGURES = """

@@ -226,6 +226,16 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             make_params(**bad)
 
+    def test_rejects_nonfinite_params(self):
+        fields = ("mass", "hbar", "delta", "v1", "b_field", "xi", "alpha", "charge",
+                  "light_speed")
+        for name in fields:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    make_params(**{name: value})
+        with pytest.raises(DomainError):
+            make_params().with_flux(math.inf)
+
     def test_rejects_negative_radial_index(self):
         with pytest.raises(DomainError):
             model.QuantumNumbers(-1, 0)

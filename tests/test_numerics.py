@@ -3,28 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abring.numerics import (DomainError, NonConvergenceError, QuadratureSpec,
-                             bisect, integrate, integrate_samples,
-                             simpson_weights)
-
-
-def test_polynomial_exactness():
-    value, _ = integrate(lambda x: x**2, 0.0, 1.0)
-    assert abs(value - 1.0 / 3.0) < 1e-12
-
-
-def test_truncated_exponential():
-    value, err = integrate(np.exp, -50.0, 0.0, QuadratureSpec(tolerance=1e-12))
-    assert abs(value - 1.0) < 1e-10
-    assert err < 1e-10
-
-
-def test_gamma_style_integral():
-    # integral_0^inf r e^(-2r) dr = 1/4, truncated far into the tail
-    for rule in ("simpson", "gauss-legendre"):
-        value, _ = integrate(lambda r: r * np.exp(-2.0 * r), 0.0, 40.0,
-                             QuadratureSpec(rule=rule, tolerance=1e-12))
-        assert abs(value - 0.25) < 1e-10
+from abring.numerics import DomainError, bisect, integrate_samples, simpson_weights
 
 
 @pytest.mark.parametrize("n", [100, 101, 4096, 4097])
@@ -41,11 +20,6 @@ def test_integrate_samples_matches_weights():
     assert abs(integrate_samples(y, x[1] - x[0]) - (math.e - 1.0)) < 1e-12
 
 
-def test_scalar_only_callable():
-    value, _ = integrate(math.exp, 0.0, 1.0)
-    assert abs(value - (math.e - 1.0)) < 1e-10
-
-
 def test_order_four_convergence():
     # halving h cuts the composite-Simpson error ~16x on a smooth integrand
     exact = math.sqrt(math.pi) / 2.0 * math.erf(2.0)
@@ -56,14 +30,6 @@ def test_order_four_convergence():
         grid_err.append(abs(approx - exact))
     ratio = grid_err[0] / grid_err[1]
     assert 10.0 < ratio < 25.0
-
-
-def test_nonconvergence_carries_last_estimate():
-    spec = QuadratureSpec(tolerance=1e-16, max_depth=3)
-    with pytest.raises(NonConvergenceError) as excinfo:
-        integrate(lambda x: np.sqrt(np.abs(x - 0.3141)), 0.0, 1.0, spec)
-    value, err = excinfo.value.last_estimate
-    assert math.isfinite(value) and err > 0
 
 
 def test_bisect_linear():
