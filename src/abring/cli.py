@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entropy, model
+from . import entropy, model, wavefunction
 from .numerics import DomainError, NonConvergenceError
 
 PHYSICAL_KEYS = ("mass", "hbar", "delta", "v1", "b_field", "xi", "phi_ab", "alpha")
@@ -51,8 +51,8 @@ class RunConfig:
     physical: dict = field(default_factory=dict)   # keys from PHYSICAL_KEYS
     n: int = 0
     m: int = 0
-    r_points: int = 4096
-    k_points: int = 4096
+    r_points: int = wavefunction.DEFAULT_POINTS
+    k_points: int = wavefunction.DEFAULT_POINTS
     r_max: float | None = None
     k_max: float | None = None
     sweep: list = field(default_factory=list)      # [(names tuple, [value tuples])]
@@ -151,7 +151,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def _build_point(cfg: RunConfig, overrides: dict):
-    """ModelParams + QuantumNumbers for one sweep point."""
+    """ModelParams + QuantumNumbers for one sweep point; checks r_max against its r_min."""
     phys = dict(cfg.physical)
     quantum = {"n": cfg.n, "m": cfg.m}
     for key, value in overrides.items():
@@ -168,6 +168,9 @@ def _build_point(cfg: RunConfig, overrides: dict):
         qn = model.QuantumNumbers(quantum["n"], quantum["m"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.r_max is not None and cfg.r_max <= wavefunction.R_MIN_LENGTHS / params.delta:
+        raise ConfigError(f"[grid] r_max = {cfg.r_max:g} is not above r_min = "
+                          f"{wavefunction.R_MIN_LENGTHS:g}/delta at delta = {params.delta:g}")
     return params, qn
 
 
@@ -290,6 +293,7 @@ FIGURE_PANELS = (
     ("fig1b", "alpha", "alpha", (0.1, 0.2, 0.4)),
     ("fig1c", "phi_ab", "phi", (1.0, 2.0, 4.0)),
 )
+FIGURE_AXES = ("b_field", "alpha", "phi_ab", "xi")   # sweep keys a panel can vary
 
 
 def _echo_params(params: model.ModelParams, qn: model.QuantumNumbers) -> str:
@@ -305,14 +309,17 @@ def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
     Emits fig1{a,b,c}_* (V_eff vs r, varying field / deficit / flux),
     fig2{a,b,c}_* (normalized |psi|^2 vs r; densities, not r|psi|^2) and
     figk{a,b,c}_* (normalized |psi~|^2 vs k). Sweep axes in the config
-    override a panel's default variation values. Curves whose state is
-    unbound are skipped with a note on stderr.
+    override a panel's default variation values; any other axis is a config
+    error. Curves whose state is unbound are skipped with a note on stderr.
     """
+    for names, _values in cfg.sweep:
+        if len(names) != 1 or names[0] not in FIGURE_AXES:
+            raise ConfigError(f"figures cannot honour sweep axis {','.join(names)!r}: "
+                              f"only single-key axes on {', '.join(FIGURE_AXES)}")
+    _, qn = _build_point(cfg, {})
     directory = Path(out_dir or (cfg.out_path if cfg.out_path != "-" else "figures_out"))
     directory.mkdir(parents=True, exist_ok=True)
-    _, qn = _build_point(cfg, {})
-    overrides = {names[0]: [v[0] for v in values]
-                 for names, values in cfg.sweep if len(names) == 1}
+    overrides = {names[0]: [v[0] for v in values] for names, values in cfg.sweep}
     wrote = 0
     for fig_id, param_key, tag, default_values in FIGURE_PANELS:
         if param_key == "phi_ab" and "xi" in overrides and "phi_ab" not in overrides:

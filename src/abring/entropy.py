@@ -126,26 +126,24 @@ def state_entropies(psi: wavefunction.SampledFunction,
 
 
 def entropy_pipeline(params: model.ModelParams, qn: model.QuantumNumbers,
-                     r_points: int = 4096, k_points: int = 4096,
+                     r_points: int = wavefunction.DEFAULT_POINTS,
+                     k_points: int = wavefunction.DEFAULT_POINTS,
                      r_max: float | None = None,
                      k_max: float | None = None) -> EntropyReport:
     """Eigenfunction on the position and momentum grids -> `state_entropies`.
 
-    The only path from a state to its densities and entropies. k_max None
-    picks the window 40*delta*max(1, lam). NoBoundStateError propagates
-    untouched (sweeps skip those points); any other stage failure is
-    re-raised tagged with the stage name.
+    The only path from a state to its densities and entropies. The state is
+    solved once; k_max None picks the window 40*delta*max(1, lam) from that
+    solution. NoBoundStateError propagates untouched (sweeps skip those
+    points); any other stage failure is re-raised tagged with the stage name.
     """
     stage = "eigenfunction"
     try:
-        psi = wavefunction.radial_eigenfunction(params, qn, r_points, r_max)
+        report = wavefunction._bound_state(params, qn)
+        psi = wavefunction._sample(params, report, qn.n, r_points, r_max)
         stage = "fourier"
-        if k_max is None:
-            grid = spectral.default_momentum_grid(
-                model.energy_closed_form(params, qn).dimensionless.lam,
-                params.delta, k_points)
-        else:
-            grid = spectral.MomentumGrid(k_max, k_points)
+        grid = (spectral.MomentumGrid(k_max, k_points) if k_max is not None else
+                spectral.default_momentum_grid(report.dimensionless.lam, params.delta, k_points))
     except (model.NoBoundStateError, NonConvergenceError):
         raise
     except Exception as exc:

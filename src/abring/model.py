@@ -9,8 +9,8 @@ in closed form; this module carries both the closed-form spectrum and an
 independent bisection oracle on the quantization condition so the two can
 be checked against each other.
 
-Default units: hbar = mass = charge = light_speed = 1, so omega_c equals
-the field strength b_field and one flux quantum is 2*pi.
+Default units: hbar = mass = 1, with charge and light speed fixed at 1, so
+omega_c equals the field strength b_field and one flux quantum is 2*pi.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ class ModelParams:
     hbar        -- action quantum (> 0)
     delta       -- screening constant, 1/length (> 0)
     v1          -- screened-Coulomb coupling, energy*length (>= 0)
-    b_field     -- magnetic field strength (>= 0); omega_c = charge*b_field/(mass*c)
+    b_field     -- magnetic field strength (>= 0); omega_c = b_field/mass
     xi          -- flux through the ring in flux quanta (real; sign = orientation)
     alpha       -- conical deficit parameter (> 0; < 1 means a deficit angle,
                    > 1 accepted as a surplus)
-    charge, light_speed -- unit-system knobs, default 1
     """
 
     mass: float = 1.0
@@ -53,8 +52,6 @@ class ModelParams:
     b_field: float = 0.0
     xi: float = 0.0
     alpha: float = 1.0
-    charge: float = 1.0
-    light_speed: float = 1.0
 
     def __post_init__(self):
         # a chained comparison is False on NaN, so each bound also refuses NaN and inf
@@ -69,19 +66,18 @@ class ModelParams:
             raise DomainError("b_field must be finite and >= 0")
         if not 0 < self.alpha < inf:
             raise DomainError("deficit parameter alpha must be finite and > 0")
-        if not (-inf < self.xi < inf and -inf < self.charge < inf
-                and -inf < self.light_speed < inf):
-            raise DomainError("xi, charge and light_speed must be finite")
+        if not -inf < self.xi < inf:
+            raise DomainError("flux xi must be finite")
 
     @property
     def omega_c(self) -> float:
-        """Cyclotron frequency charge*B/(mass*c)."""
-        return self.charge * self.b_field / (self.mass * self.light_speed)
+        """Cyclotron frequency B/mass (charge and light speed are 1)."""
+        return self.b_field / self.mass
 
     @property
     def flux_quantum(self) -> float:
-        """One flux quantum, 2*pi*hbar*c/charge."""
-        return 2.0 * math.pi * self.hbar * self.light_speed / self.charge
+        """One flux quantum, 2*pi*hbar (charge and light speed are 1)."""
+        return 2.0 * math.pi * self.hbar
 
     def with_flux(self, phi_ab: float) -> "ModelParams":
         """Copy with xi set from a raw flux value phi_ab."""
@@ -270,17 +266,13 @@ def quantization_root_bisection(params: ModelParams, qn: QuantumNumbers,
     from beta0 + beta2 until it changes sign. Returns None when no root
     exists (no bound state).
     """
-    beta0, beta1, beta2, eta = coupling_constants(params, qn)
-    nu_disc = 0.25 + beta1 + beta2 + eta
-    if nu_disc < 0.0:
-        return None
-    nu = 0.5 + math.sqrt(nu_disc)
+    beta0, _, beta2, eta = coupling_constants(params, qn)
 
     def residual(eps: float) -> float:
-        return math.sqrt(eps + eta) + nu - math.sqrt(eps + beta0 + beta2) + qn.n
+        return quantization_residual(dimensionless(params, qn, eps), qn.n)
 
     lo = max(0.0, -eta) + 1e-12 * max(1.0, abs(eta))
-    if residual(lo) >= 0.0:
+    if not dimensionless(params, qn, lo).is_normalizable or residual(lo) >= 0.0:
         return None
     hi = max(1.0, beta0 + beta2)
     for _ in range(200):

@@ -15,11 +15,7 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Iteration failed to reach tolerance; carries the last estimate."""
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
+    """Iteration failed to reach tolerance."""
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:

@@ -10,12 +10,12 @@ phase matrix never materializes in full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import DomainError, integrate_samples
-from .wavefunction import SampledFunction
+from .wavefunction import DEFAULT_POINTS, SampledFunction
 
 _CHUNK = 256
 MASS_WARN_FRACTION = 0.99  # flag when <99% of |psi~|^2 lands inside the window
@@ -26,7 +26,7 @@ class MomentumGrid:
     """Symmetric momentum window [-k_max, k_max] with n_points samples."""
 
     k_max: float
-    n_points: int = 4096
+    n_points: int = DEFAULT_POINTS
 
     def __post_init__(self):
         if self.k_max <= 0:
@@ -39,7 +39,7 @@ class MomentumGrid:
 
 
 def default_momentum_grid(decay_exponent: float, delta: float,
-                          n_points: int = 4096) -> MomentumGrid:
+                          n_points: int = DEFAULT_POINTS) -> MomentumGrid:
     """Window wide enough for a state with the given large-r decay exponent."""
     return MomentumGrid(40.0 * delta * max(1.0, decay_exponent), n_points)
 
@@ -64,9 +64,7 @@ def fourier_transform(f: SampledFunction, grid: MomentumGrid) -> SampledFunction
     transformed = SampledFunction(k, out, "momentum")
     warn = (abs(f.norm_squared() - 1.0) <= 1e-6
             and transformed.norm_squared() < MASS_WARN_FRACTION)
-    if warn:
-        transformed = SampledFunction(k, out, "momentum", truncation_warning=True)
-    return transformed
+    return replace(transformed, truncation_warning=True) if warn else transformed
 
 
 def parseval_residual(f_pos: SampledFunction, f_mom: SampledFunction) -> float:

@@ -23,6 +23,7 @@ TWO_PI = 2.0 * math.pi
 
 DEFAULT_POINTS = 4096
 TAIL_CUTOFF = 1e-14  # |psi(r_max)|^2 below this fraction of the peak
+R_MIN_LENGTHS = 1e-6  # grids start at r_min = R_MIN_LENGTHS/delta, where 1/sqrt(r) is finite
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def auto_r_max(params: model.ModelParams, report: model.BoundStateReport, n: int
     r_peak = math.log1p(ds.nu / ds.lam) / params.delta
     r_max = r_peak + math.log(1e16) / (2.0 * params.delta * ds.lam)
     for _ in range(200):
-        probe = np.linspace(1e-6 / params.delta, r_max, 512)
+        probe = np.linspace(R_MIN_LENGTHS / params.delta, r_max, 512)
         rho = np.abs(_radial_profile(params, report, n, probe)) ** 2
         if rho[-1] <= TAIL_CUTOFF * rho.max():
             return r_max
@@ -89,26 +90,36 @@ def auto_r_max(params: model.ModelParams, report: model.BoundStateReport, n: int
     return r_max
 
 
+def _bound_state(params: model.ModelParams, qn: model.QuantumNumbers) -> model.BoundStateReport:
+    """The closed-form solution for (params, qn); NoBoundStateError if there is none."""
+    report = model.energy_closed_form(params, qn)
+    if not report.exists:
+        raise model.NoBoundStateError(report.reason)
+    return report
+
+
+def _sample(params: model.ModelParams, report: model.BoundStateReport, n: int,
+            n_points: int, r_max: float | None) -> SampledFunction:
+    """Sample a solved state's psi(r) on [r_min, r_max] (r_max None: auto_r_max)."""
+    if r_max is None:
+        r_max = auto_r_max(params, report, n)
+    r_min = R_MIN_LENGTHS / params.delta
+    if r_max <= r_min:
+        raise DomainError(f"r_max must exceed r_min = {R_MIN_LENGTHS:g}/delta")
+    r = np.linspace(r_min, r_max, n_points)
+    return SampledFunction(r, _radial_profile(params, report, n, r), "position")
+
+
 def radial_eigenfunction(params: model.ModelParams, qn: model.QuantumNumbers,
                          n_points: int = DEFAULT_POINTS,
                          r_max: float | None = None) -> SampledFunction:
     """Sample the (unnormalized) bound-state wavefunction on a uniform grid.
 
-    The grid starts at r_min = 1e-6/delta (the 1/sqrt(r) measure factor is
-    integrable but not evaluable at 0) and ends at r_max, auto-chosen so the
-    density tail is below 1e-14 of its peak. Raises NoBoundStateError with
-    the spectrum's rejection reason when the state does not exist.
+    The grid runs from r_min = R_MIN_LENGTHS/delta to r_max, auto-chosen so
+    the density tail is below TAIL_CUTOFF of its peak. Raises NoBoundStateError
+    with the spectrum's rejection reason when the state does not exist.
     """
-    report = model.energy_closed_form(params, qn)
-    if not report.exists:
-        raise model.NoBoundStateError(report.reason)
-    if r_max is None:
-        r_max = auto_r_max(params, report, qn.n)
-    r_min = 1e-6 / params.delta
-    if r_max <= r_min:
-        raise DomainError("r_max must exceed r_min = 1e-6/delta")
-    r = np.linspace(r_min, r_max, n_points)
-    return SampledFunction(r, _radial_profile(params, report, qn.n, r), "position")
+    return _sample(params, _bound_state(params, qn), qn.n, n_points, r_max)
 
 
 def normalize(f: SampledFunction):
@@ -147,8 +158,8 @@ def transformed_equation_residual(params: model.ModelParams, qn: model.QuantumNu
                                   s_window: tuple[float, float] = (0.05, 0.9)) -> float:
     """Max pointwise relative residual of the reduced radial equation.
 
-    The radial factor R(s) = sqrt(2*pi*r) * psi is sampled on a uniform grid
-    in s = exp(-delta*r) and pushed through
+    The radial factor R(s) = sqrt(2*pi*r) * psi(r) of the sampled profile,
+    at r = -ln(s)/delta on a uniform grid in s, is pushed through
 
         R'' + R'/s + [ -(eps+b0+b2)s^2 + (2eps+b0-b1)s - (eps+eta) ]
                      / (s^2 (1-s)^2) * R  =  0
@@ -158,15 +169,12 @@ def transformed_equation_residual(params: model.ModelParams, qn: model.QuantumNu
     points where |R| has decayed below 1e-6 of its max are excluded (the
     function is numerically zero there).
     """
-    report = model.energy_closed_form(params, qn)
-    if not report.exists:
-        raise model.NoBoundStateError(report.reason)
+    report = _bound_state(params, qn)
     ds = report.dimensionless
-    a = ds.lam + ds.nu + math.sqrt(ds.epsilon + ds.beta0 + ds.beta2)
-    c = 2.0 * ds.lam + 1.0
     s = np.linspace(s_window[0], s_window[1], n_points)
     h = s[1] - s[0]
-    radial = s**ds.lam * (1.0 - s) ** ds.nu * hyp2f1(-qn.n, a, c, s)
+    r = -np.log(s) / params.delta
+    radial = np.sqrt(TWO_PI * r) * _radial_profile(params, report, qn.n, r)
 
     d2 = (-radial[:-4] + 16 * radial[1:-3] - 30 * radial[2:-2]
           + 16 * radial[3:-1] - radial[4:]) / (12.0 * h * h)

@@ -87,7 +87,9 @@ def test_config_errors_exit_2(tmp_path):
     for i, body in enumerate(["[physical]\ndelta = nan\n", "[physical]\nv1 = inf\n",
                               "[grid]\nr_points = 2\nk_points = 2\n",
                               "[grid]\nr_points = -5\n", "[grid]\nk_max = 0\n",
-                              "[grid]\nr_max = inf\n", "[grid]\nr_max = nan\n"]):
+                              "[grid]\nr_max = inf\n", "[grid]\nr_max = nan\n",
+                              # at or below the grid start r_min = 1e-6/delta
+                              "[physical]\nv1 = 20\n\n[grid]\nr_max = 1e-9\n"]):
         cfg = write_config(tmp_path, body, f"bad_input{i}.ini")
         for command in ("energy", "entropy", "figures"):
             assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
@@ -240,6 +242,21 @@ def test_figures_single_value_axis_overrides_panel(tmp_path):
     assert sorted(p.name for p in outdir.glob("fig1a_*.dat")) == ["fig1a_B2.dat"]
 
 
+@pytest.mark.parametrize("axes,named", [
+    ("v1 = 20 30\nn,m = 0,0 1,0\n", "'v1'"),
+    ("n,m = 0,0 1,0\n", "'n,m'"),
+    ("b_field,alpha = 1,0.5 2,0.5\n", "'b_field,alpha'"),
+    ("delta = 0.1\n", "'delta'"),
+], ids=["non-panel-then-zipped", "zipped", "zipped-panel-keys", "single-value-non-panel"])
+def test_figures_refuse_axes_they_cannot_honour(tmp_path, capsys, axes, named):
+    cfg = write_config(tmp_path, FIGURES + "\n[sweep]\n" + axes)
+    outdir = tmp_path / "figs"
+    assert run(["figures", "--config", cfg, "--out", outdir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: figures cannot honour sweep axis " + named)
+    assert not outdir.exists()
+
+
 def test_figures_skip_unbound_density_curves(tmp_path, capsys):
     weak = FIGURES.replace("v1 = 20.0", "v1 = 1.0") + "k_points = 1025\n"
     cfg = write_config(tmp_path, weak)
@@ -250,6 +267,12 @@ def test_figures_skip_unbound_density_curves(tmp_path, capsys):
     assert sorted(p.name for p in outdir.glob("fig2a_*.dat")) == ["fig2a_B1.dat"]
     assert sorted(p.name for p in outdir.glob("figka_*.dat")) == ["figka_B1.dat"]
     assert "no bound state" in capsys.readouterr().err
+
+
+def test_check_battery_passes(capsys):
+    assert cli.main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
 
 
 def test_energy_json_format(tmp_path):

@@ -116,6 +116,20 @@ class TestPipeline:
         assert report.norm_residual_r < 1e-8
         assert report.norm_residual_k < 1e-4
 
+    def test_solves_the_state_once(self, monkeypatch):
+        # one closed-form solve feeds the sampler, r_max and the momentum window
+        calls = []
+        solve = model.energy_closed_form
+
+        def counted(params, qn):
+            calls.append(qn)
+            return solve(params, qn)
+
+        monkeypatch.setattr(model, "energy_closed_form", counted)
+        params = model.ModelParams(delta=0.1, v1=20.0, b_field=1.0).with_flux(1.0)
+        entropy.entropy_pipeline(params, model.QuantumNumbers(1, 0), 1025, 1025)
+        assert calls == [model.QuantumNumbers(1, 0)]
+
     def test_no_bound_state_propagates(self):
         params = model.ModelParams(delta=0.1, v1=1.0, b_field=4.0)
         with pytest.raises(model.NoBoundStateError):
