@@ -12,7 +12,7 @@ from .entropy import BBM_BOUND, EntropyReport, bbm_check, entropy_pipeline, \
 from .model import BoundStateReport, DimensionlessSet, ModelParams, \
     NoBoundStateError, QuantumNumbers, dimensionless, effective_potential, \
     energy_closed_form, greene_aldrich_ratio, quantization_residual, \
-    quantization_root_bisection, vector_potential_phi
+    quantization_root_bisection
 from .numerics import DomainError, NonConvergenceError, bisect, \
     integrate_samples
 from .spectral import MomentumGrid, default_momentum_grid, fourier_transform, \
@@ -33,5 +33,5 @@ __all__ = [
     "normalize", "parseval_residual", "probability_density",
     "quantization_residual", "quantization_root_bisection",
     "radial_eigenfunction", "shannon_momentum", "shannon_position",
-    "state_entropies", "transformed_equation_residual", "vector_potential_phi",
+    "state_entropies", "transformed_equation_residual",
 ]

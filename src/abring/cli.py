@@ -10,9 +10,7 @@ parameter group, e.g.
     b_field,phi_ab = 1,1 2,1 4,1 1,2 1,4
 
 gives 3 x 5 = 15 rows. Exit codes: 0 ok, 2 config error, 3 no computable
-state anywhere in the sweep, 4 numerical non-convergence. ABRING_THREADS,
-a positive integer, caps worker threads for sweep evaluation (output order
-is deterministic regardless).
+state anywhere in the sweep, 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,7 +54,6 @@ class RunConfig:
     sweep: list = field(default_factory=list)      # [(names tuple, [value tuples])]
     out_format: str = "csv"
     out_path: str = "-"
-    threads: int = 1                               # from ABRING_THREADS, set by main
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -193,26 +188,6 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ABRING_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"ABRING_THREADS = {raw!r} is not a positive integer")
-    return workers
-
-
-def _map_points(fn, cfg: RunConfig):
-    """fn over every sweep point, on cfg.threads threads; results in sweep order."""
-    points = expand_sweep(cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(fn, points))
-    return [fn(p) for p in points]
-
-
 def cmd_energy(cfg: RunConfig, out_path: str | None = None,
                out_format: str | None = None) -> int:
     """One row per sweep point: closed-form energy or a graceful non-existence."""
@@ -221,7 +196,7 @@ def cmd_energy(cfg: RunConfig, out_path: str | None = None,
         report = model.energy_closed_form(params, qn)
         return overrides, params, qn, report
 
-    rows = _map_points(solve, cfg)
+    rows = [solve(p) for p in expand_sweep(cfg)]
     out_format = out_format or cfg.out_format
     if out_format == "csv":
         lines = [ENERGY_HEADER]
@@ -258,7 +233,7 @@ def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
             report = None
         return overrides, params, qn, report
 
-    rows = _map_points(solve, cfg)
+    rows = [solve(p) for p in expand_sweep(cfg)]
     if all(rep is None for *_ignored, rep in rows):
         print("error: no sweep point has a bound state", file=sys.stderr)
         return 3
@@ -383,7 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_check()
     try:
         cfg = parse_config(args.config)
-        cfg.threads = _thread_count()
         if args.command == "energy":
             return cmd_energy(cfg, args.out, args.format)
         if args.command == "entropy":

@@ -66,13 +66,14 @@ def _shannon(rho: wavefunction.SampledFunction, domain: str) -> float:
     if np.any(values < -1e-12):
         raise DomainError("density must be non-negative")
     values = np.maximum(values, 0.0)
-    total = float(values @ rho.weights())
+    weights = rho.weights()
+    total = float(values @ weights)
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total:.8f} is not 1 within {NORM_TOL:g}")
     live = values > DENSITY_FLOOR
     integrand = np.zeros_like(values)
     integrand[live] = values[live] * np.log(values[live])
-    return float(-(integrand @ rho.weights()))
+    return float(-(integrand @ weights))
 
 
 def shannon_position(rho: wavefunction.SampledFunction) -> float:

@@ -190,24 +190,6 @@ def effective_potential(params: ModelParams, qn: QuantumNumbers, r):
     return float(out) if out.ndim == 0 else out
 
 
-def vector_potential_phi(params: ModelParams, r):
-    """Azimuthal components (A1, A2) of the two-part gauge field.
-
-    A1 carries the screened field b_field*exp(-delta r)/(alpha*(1-exp(-delta r))),
-    A2 the flux line phi_ab/(2*pi*r).
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("vector_potential_phi requires r > 0")
-    one_minus = -np.expm1(-params.delta * r)
-    a1 = params.b_field * np.exp(-params.delta * r) / (params.alpha * one_minus)
-    phi_ab = params.xi * params.flux_quantum
-    a2 = phi_ab / (2.0 * math.pi * r)
-    if a1.ndim == 0:
-        return float(a1), float(a2)
-    return a1, a2
-
-
 def greene_aldrich_ratio(delta: float, r):
     """Approximation-to-exact ratio of the 1/r**2 replacement.
 

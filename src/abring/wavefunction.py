@@ -38,7 +38,6 @@ class SampledFunction:
     x: np.ndarray
     values: np.ndarray
     domain: str = "position"
-    truncation_warning: bool = False
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)

@@ -183,29 +183,6 @@ def test_entropy_deterministic_output(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, SMALL_SWEEP)
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert run(["entropy", "--config", cfg, "--out", serial]) == 0
-    monkeypatch.setenv("ABRING_THREADS", "4")
-    assert run(["entropy", "--config", cfg, "--out", threaded]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
-def test_bad_thread_count_exits_2(tmp_path, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    cfg = write_config(tmp_path, SMALL_SWEEP)
-    for value in ("x", "0"):
-        monkeypatch.setenv("ABRING_THREADS", value)
-        assert run(["entropy", "--config", cfg, "--out", tmp_path / "out.csv"]) == 2
-        assert "config error: ABRING_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
-
-
 FIGURES = """
 [physical]
 delta = 0.1

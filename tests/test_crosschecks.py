@@ -2,7 +2,8 @@
 
 A finite-difference eigensolver on the reduced radial Hamiltonian knows
 nothing about the closed form, the terminating series, or the quantization
-condition; an FFT knows nothing about the direct-quadrature transform.
+condition; a zero-padded plain DFT of the samples knows nothing about the
+chirp-z convolution that evaluates the transform.
 Agreement here validates the chain end to end.
 """
 

@@ -67,30 +67,6 @@ class TestEffectivePotential:
             model.effective_potential(make_params(), model.QuantumNumbers(0, 0), 0.0)
 
 
-class TestVectorPotential:
-    def test_zero_field(self):
-        a1, _ = model.vector_potential_phi(make_params(b_field=0.0, xi=1.0), 2.0)
-        assert a1 == 0.0
-
-    def test_zero_flux(self):
-        _, a2 = model.vector_potential_phi(make_params(b_field=1.0, xi=0.0), 2.0)
-        assert a2 == 0.0
-
-    def test_hand_value(self):
-        a1, _ = model.vector_potential_phi(make_params(b_field=1.0), 1.0)
-        expected = math.exp(-1.0) / (1.0 - math.exp(-1.0))
-        assert abs(a1 - expected) < 1e-14
-
-    def test_flux_component(self):
-        params = make_params().with_flux(4.0)
-        _, a2 = model.vector_potential_phi(params, 2.0)
-        assert abs(a2 - 4.0 / (2.0 * math.pi * 2.0)) < 1e-14
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(DomainError):
-            model.vector_potential_phi(make_params(), -1.0)
-
-
 class TestGreeneAldrichRatio:
     def test_small_screening_limit(self):
         assert abs(model.greene_aldrich_ratio(1e-8, 1.0) - 1.0) < 1e-6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abring import model, spectral, wavefunction
+from abring import entropy, model, spectral, wavefunction
 from abring.numerics import DomainError
 
 
@@ -59,20 +59,23 @@ def test_hermitian_symmetry_for_real_input():
 
 def test_parseval_gaussian_pair():
     psi = gaussian_state()
-    out = spectral.fourier_transform(psi, spectral.MomentumGrid(8.0, 4097))
+    grid = spectral.MomentumGrid(8.0, 4097)
+    out = spectral.fourier_transform(psi, grid)
     assert spectral.parseval_residual(psi, out) < 1e-8
-    assert not out.truncation_warning
+    assert entropy.state_entropies(psi, grid).norm_residual_k < 1e-8
 
 
 def test_truncated_window_flags_and_loses_mass():
-    # window holding ~90% of the momentum density: residual ~ 0.1, warning on
+    # window holding ~90% of the momentum density: residual ~ 0.1, and the
+    # entropy report carries the same loss as norm_residual_k
     psi = gaussian_state()
     k90 = 1.1631  # erf(k90) ~ 0.90 for the unit-width |psi~|^2
-    out = spectral.fourier_transform(psi, spectral.MomentumGrid(k90, 2049))
+    grid = spectral.MomentumGrid(k90, 2049)
+    out = spectral.fourier_transform(psi, grid)
     residual = spectral.parseval_residual(psi, out)
     assert abs(residual - (1.0 - math.erf(k90))) < 0.01
     assert abs(residual - 0.1) < 0.02
-    assert out.truncation_warning
+    assert abs(entropy.state_entropies(psi, grid).norm_residual_k - 0.1) < 0.02
 
 
 def test_parseval_residual_shrinks_with_window():
@@ -91,7 +94,7 @@ def test_eigenstate_parseval_at_default_grids():
     grid = spectral.default_momentum_grid(rep.dimensionless.lam, params.delta)
     out = spectral.fourier_transform(psi, grid)
     assert spectral.parseval_residual(psi, out) < 1e-4
-    assert not out.truncation_warning
+    assert entropy.state_entropies(psi, grid).norm_residual_k < 1e-4
 
 
 def test_rejects_momentum_domain_input():
@@ -102,9 +105,54 @@ def test_rejects_momentum_domain_input():
 
 
 def test_momentum_grid_validation():
-    with pytest.raises(DomainError):
-        spectral.MomentumGrid(0.0, 64)
+    for k_max in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            spectral.MomentumGrid(k_max, 64)
     grid = spectral.MomentumGrid(2.0, 128)
     k = grid.abscissae()
     assert k[0] == -2.0 and k[-1] == 2.0
     np.testing.assert_allclose(k, -k[::-1], atol=0)
+
+
+def direct_sum(f, grid, chunk=256):
+    """The transform as the plain O(N*Nk) Simpson sum, chunked over k."""
+    k = grid.abscissae()
+    weighted = f.weights() * f.values
+    out = np.empty(k.size, dtype=complex)
+    for i in range(0, k.size, chunk):
+        out[i:i + chunk] = np.exp(-1j * np.outer(k[i:i + chunk], f.x)) @ weighted
+    return out / math.sqrt(2.0 * math.pi)
+
+
+def test_chirp_z_matches_the_direct_sum():
+    # seeded solved states on grids with N != N_k, odd and even N, and N = 3
+    rng = np.random.default_rng(19)
+    sizes = [(3, 5), (3, 4), (4, 7), (257, 128), (512, 1025), (1025, 512), (2048, 2049)]
+    checked = 0
+    while checked < 2 * len(sizes):
+        params = model.ModelParams(delta=rng.uniform(0.05, 0.2), v1=rng.uniform(10.0, 30.0),
+                                   b_field=rng.uniform(0.0, 2.0),
+                                   xi=rng.uniform(-0.5, 1.5), alpha=rng.uniform(0.5, 1.5))
+        qn = model.QuantumNumbers(int(rng.integers(0, 4)), int(rng.integers(-1, 2)))
+        rep = model.energy_closed_form(params, qn)
+        if not rep.exists:
+            continue
+        n_r, n_k = sizes[checked % len(sizes)]
+        psi = wavefunction.radial_eigenfunction(params, qn, n_r)
+        grid = spectral.default_momentum_grid(rep.dimensionless.lam, params.delta, n_k)
+        reference = direct_sum(psi, grid)
+        out = spectral.fourier_transform(psi, grid)
+        np.testing.assert_array_equal(out.x, grid.abscissae())
+        assert np.max(np.abs(out.values - reference)) <= 1e-9 * np.max(np.abs(reference))
+        checked += 1
+
+
+def test_rejects_nonuniform_position_grid():
+    r = np.linspace(1.0, 10.0, 64)
+    r[10] += 1e-6 * (r[1] - r[0])
+    f = wavefunction.SampledFunction(r, np.exp(-r), "position")
+    with pytest.raises(DomainError, match="uniform"):
+        spectral.fourier_transform(f, spectral.MomentumGrid(1.0, 64))
+    geometric = wavefunction.SampledFunction(np.geomspace(1.0, 10.0, 64), np.exp(-r))
+    with pytest.raises(DomainError, match="uniform"):
+        spectral.fourier_transform(geometric, spectral.MomentumGrid(1.0, 64))
