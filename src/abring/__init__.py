@@ -13,8 +13,7 @@ from .model import BoundStateReport, DimensionlessSet, ModelParams, \
     NoBoundStateError, QuantumNumbers, dimensionless, effective_potential, \
     energy_closed_form, greene_aldrich_ratio, quantization_residual, \
     quantization_root_bisection
-from .numerics import DomainError, NonConvergenceError, bisect, \
-    integrate_samples
+from .numerics import DomainError, NonConvergenceError, bisect
 from .spectral import MomentumGrid, default_momentum_grid, fourier_transform, \
     parseval_residual
 from .specfun import hyp2f1
@@ -29,7 +28,7 @@ __all__ = [
     "NonConvergenceError", "QuantumNumbers", "SampledFunction", "bbm_check",
     "bisect", "count_radial_nodes", "default_momentum_grid", "dimensionless",
     "effective_potential", "energy_closed_form", "entropy_pipeline",
-    "fourier_transform", "greene_aldrich_ratio", "hyp2f1", "integrate_samples",
+    "fourier_transform", "greene_aldrich_ratio", "hyp2f1",
     "normalize", "parseval_residual", "probability_density",
     "quantization_residual", "quantization_root_bisection",
     "radial_eigenfunction", "shannon_momentum", "shannon_position",

@@ -2,14 +2,16 @@
 
 Config files are flat INI ([physical], [quantum], [grid], [sweep],
 [output]); every key is optional and falls back to documented defaults.
-Sweep axes cross in declaration order; a comma-joined key names a zipped
-parameter group, e.g.
+Sweep axes cross in declaration order, first axis outermost, and expand to
+numpy columns (`Sweep`); `energy` solves and formats those columns whole. A
+comma-joined key names a zipped parameter group, e.g.
 
     [sweep]
     n,m = 0,0 1,0 1,1
     b_field,phi_ab = 1,1 2,1 4,1 1,2 1,4
 
-gives 3 x 5 = 15 rows. Exit codes: 0 ok, 2 config error, 3 no computable
+gives 3 x 5 = 15 rows. Each parameter may be bound by one axis only (xi and
+phi_ab count as one). Exit codes: 0 ok, 2 config error, 3 no computable
 state anywhere in the sweep, 4 numerical non-convergence.
 """
 
@@ -20,7 +22,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +67,9 @@ def _parse_float(section: str, key: str, raw: str) -> float:
 
 def _parse_int(section: str, key: str, raw: str) -> int:
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
+        return int(np.int64(raw))   # sweeps hold integers in int64 columns
+    except (ValueError, OverflowError):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a 64-bit integer") from None
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -111,13 +113,16 @@ def parse_config(path: str | Path) -> RunConfig:
             setattr(cfg, key, value)
 
     if parser.has_section("sweep"):
+        bound = set()
         for key, raw in parser.items("sweep"):
             names = tuple(name.strip() for name in key.split(","))
             for name in names:
                 if name not in SWEEPABLE:
                     raise ConfigError(f"sweep axis references unknown parameter {name!r}")
-            if "xi" in names and "phi_ab" in names:
-                raise ConfigError("a sweep axis cannot bind both xi and phi_ab")
+                if ("xi" if name == "phi_ab" else name) in bound:
+                    raise ConfigError(f"sweep axis {key!r} binds {name!r} again "
+                                      f"(xi and phi_ab count as one parameter)")
+                bound.add("xi" if name == "phi_ab" else name)
             values = []
             for token in raw.split():
                 parts = token.split(",")
@@ -145,36 +150,62 @@ def parse_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _build_point(cfg: RunConfig, overrides: dict):
-    """ModelParams + QuantumNumbers for one sweep point; checks r_max against its r_min."""
-    phys = dict(cfg.physical)
-    quantum = {"n": cfg.n, "m": cfg.m}
-    for key, value in overrides.items():
-        if key == "xi":
-            phys.pop("phi_ab", None)   # sweep overrides the other flux form
-        elif key == "phi_ab":
-            phys.pop("xi", None)
-        (quantum if key in QUANTUM_KEYS else phys)[key] = value
-    phi_ab = phys.pop("phi_ab", None)
+class Sweep:
+    """Sweep points as rows, first axis outermost: the ModelParams fields and
+    n, m are equal-length arrays, so `model.closed_form(sweep, sweep)` solves
+    them all; iterating yields (overrides, params, qn) per point."""
+
+    def __init__(self, axes: list, index: np.ndarray, columns: dict):
+        vars(self).update(columns, axes=axes, index=index)   # index[a, row]: value of axis a
+
+    def __iter__(self):
+        cols = [getattr(self, k).tolist() for k in (*vars(model.ModelParams()), *QUANTUM_KEYS)]
+        for picks, *row in zip(self.index.T.tolist(), *cols):
+            overrides = {name: value for (names, values), i in zip(self.axes, picks)
+                         for name, value in zip(names, values[i])}
+            yield overrides, model.ModelParams(*row[:-2]), model.QuantumNumbers(*row[-2:])
+
+
+def expand_sweep(cfg: RunConfig) -> Sweep:
+    """All sweep points as columns, checked as if each were built alone: each
+    bound involves one field, so the constructors check each distinct field
+    value once; then xi from phi_ab is checked finite, and r_max at the least delta."""
+    shape = [len(values) for _names, values in cfg.sweep]
+    index = np.indices(shape).reshape(len(shape), math.prod(shape))
+    base = {**vars(model.ModelParams()), "n": cfg.n, "m": cfg.m, **cfg.physical}
+    rows = np.zeros(index.shape[1], dtype=int)   # sources: key -> (value picked per row, values)
+    sources = {key: (rows, [value]) for key, value in base.items()}
+    for a, (names, values) in enumerate(cfg.sweep):
+        for pos, name in enumerate(names):
+            if name in ("xi", "phi_ab"):   # a swept flux form replaces either base form
+                sources.pop("xi"), sources.pop("phi_ab", None)
+            sources[name] = (index[a], [v[pos] for v in values])
     try:
-        params = model.ModelParams(**phys)
-        if phi_ab is not None:
-            params = params.with_flux(phi_ab)
-        qn = model.QuantumNumbers(quantum["n"], quantum["m"])
+        for key, (_picks, values) in sources.items():
+            for value in dict.fromkeys(values):
+                if key == "n":
+                    model.QuantumNumbers(value)
+                elif key not in ("m", "phi_ab"):
+                    model.ModelParams(**{key: value})
+        columns = {key: np.array(values)[picks] for key, (picks, values) in sources.items()}
+        if "phi_ab" in columns:
+            columns["xi"] = columns.pop("phi_ab") / (2.0 * math.pi * columns["hbar"])
+            for xi in columns["xi"][~np.isfinite(columns["xi"])][:1].tolist():
+                model.ModelParams(xi=xi)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.r_max is not None and cfg.r_max <= wavefunction.R_MIN_LENGTHS / params.delta:
+    delta = min(sources["delta"][1])   # r_min = R_MIN_LENGTHS/delta is largest here
+    if cfg.r_max is not None and cfg.r_max <= wavefunction.R_MIN_LENGTHS / delta:
         raise ConfigError(f"[grid] r_max = {cfg.r_max:g} is not above r_min = "
-                          f"{wavefunction.R_MIN_LENGTHS:g}/delta at delta = {params.delta:g}")
+                          f"{wavefunction.R_MIN_LENGTHS:g}/delta at delta = {delta:g}")
+    return Sweep(cfg.sweep, index, columns)
+
+
+def _build_point(cfg: RunConfig, overrides: dict):
+    """ModelParams + QuantumNumbers for the base point with overrides, checked as in a sweep."""
+    axes = [((key,), [(value,)]) for key, value in overrides.items()]
+    (_, params, qn), = expand_sweep(replace(cfg, sweep=axes))
     return params, qn
-
-
-def expand_sweep(cfg: RunConfig):
-    """All sweep points in lexicographic axis order: [(overrides, params, qn)]."""
-    points = [{}]
-    for names, values in cfg.sweep:
-        points = [dict(p, **dict(zip(names, v))) for p in points for v in values]
-    return [(p, *_build_point(cfg, p)) for p in points]
 
 
 def _fmt(x: float) -> str:
@@ -188,36 +219,35 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """Printed value per row; each distinct bit pattern (-0.0 keeps its sign) is formatted once."""
+    fmt = str if values.dtype.kind == "i" else _fmt
+    bits, rows = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt(v) for v in bits.view(values.dtype).tolist()], object)[rows].tolist()
+
+
 def cmd_energy(cfg: RunConfig, out_path: str | None = None,
                out_format: str | None = None) -> int:
-    """One row per sweep point: closed-form energy or a graceful non-existence."""
-    def solve(point):
-        overrides, params, qn = point
-        report = model.energy_closed_form(params, qn)
-        return overrides, params, qn, report
-
-    rows = [solve(p) for p in expand_sweep(cfg)]
-    out_format = out_format or cfg.out_format
-    if out_format == "csv":
-        lines = [ENERGY_HEADER]
-        for overrides, params, qn, rep in rows:
-            energy_s = _fmt(rep.energy) if rep.exists else ""
-            eps_s = _fmt(rep.epsilon) if rep.exists else ""
-            lines.append(",".join([
-                str(qn.n), str(qn.m), _fmt(params.b_field), _fmt(params.xi),
-                _fmt(params.alpha), _fmt(params.delta), _fmt(params.v1),
-                energy_s, eps_s, "true" if rep.exists else "false",
-            ]))
-        _write(out_path or cfg.out_path, "\n".join(lines) + "\n")
+    """One row per sweep point: closed-form energy or a graceful non-existence,
+    solved as columns, from which CSV or JSON is written."""
+    sweep = expand_sweep(cfg)
+    code, energy, ds = model.closed_form(sweep, sweep)
+    bound = code == 0
+    echo = {k: getattr(sweep, k) for k in ("n", "m", "b_field", "xi", "alpha", "delta", "v1")}
+    if (out_format or cfg.out_format) == "csv":
+        cols = [_fmt_column(values) for values in echo.values()]
+        ok = bound.tolist()
+        cols += [[_fmt(x) if b else "" for x, b in zip(values.tolist(), ok)]
+                 for values in (energy, ds.epsilon)]
+        cols.append(["true" if b else "false" for b in ok])
+        text = "\n".join([ENERGY_HEADER, *map(",".join, zip(*cols))])
     else:
-        payload = [{
-            "n": qn.n, "m": qn.m, "b_field": params.b_field, "xi": params.xi,
-            "alpha": params.alpha, "delta": params.delta, "v1": params.v1,
-            "energy": rep.energy if rep.exists else None,
-            "epsilon": rep.epsilon if rep.exists else None,
-            "exists": rep.exists, "reason": rep.reason,
-        } for overrides, params, qn, rep in rows]
-        _write(out_path or cfg.out_path, json.dumps(payload, indent=2) + "\n")
+        cols = [values.tolist() for values in (*echo.values(), energy, ds.epsilon, bound, code)]
+        text = json.dumps([{**dict(zip(echo, row)), "energy": e if ok else None,
+                            "epsilon": eps if ok else None, "exists": ok,
+                            "reason": model.UNBOUND_REASONS[c]}
+                           for *row, e, eps, ok, c in zip(*cols)], indent=2)
+    _write(out_path or cfg.out_path, text + "\n")
     return 0
 
 

@@ -66,7 +66,7 @@ def _shannon(rho: wavefunction.SampledFunction, domain: str) -> float:
     if np.any(values < -1e-12):
         raise DomainError("density must be non-negative")
     values = np.maximum(values, 0.0)
-    weights = rho.weights()
+    weights = rho.weights
     total = float(values @ weights)
     if abs(total - 1.0) > NORM_TOL:
         raise DomainError(f"density mass {total:.8f} is not 1 within {NORM_TOL:g}")
@@ -109,13 +109,13 @@ def state_entropies(psi: wavefunction.SampledFunction,
     try:
         psi, _ = wavefunction.normalize(psi)
         rho_r = wavefunction.probability_density(psi)
-        mass_r = float(rho_r.values @ rho_r.weights())
+        mass_r = float(rho_r.values @ rho_r.weights)
         stage = "position-entropy"
         s_r = shannon_position(rho_r)
         stage = "fourier"
         rho_k = wavefunction.probability_density(spectral.fourier_transform(psi, grid))
         stage = "momentum-entropy"
-        mass_k = float(rho_k.values @ rho_k.weights())
+        mass_k = float(rho_k.values @ rho_k.weights)
         if mass_k <= 0.0 or not math.isfinite(mass_k):
             raise DomainError("momentum density has no mass")
         rho_k = replace(rho_k, values=rho_k.values / mass_k)

@@ -133,14 +133,23 @@ class BoundStateReport:
     dimensionless: DimensionlessSet | None = None
 
 
+def _square(x):
+    """x**2 as Python's float ** (libm pow) rounds it, also elementwise on arrays:
+    pow differs from x*x (numpy's x**2) in the last bit for about 0.08% of operands."""
+    if isinstance(x, np.ndarray):
+        distinct, rows = np.unique(x, return_inverse=True)
+        return np.array([v ** 2 for v in distinct.tolist()], dtype=float)[rows]
+    return x ** 2
+
+
 def coupling_constants(params: ModelParams, qn: QuantumNumbers):
-    """(beta0, beta1, beta2, eta) for the reduced radial equation."""
+    """(beta0, beta1, beta2, eta) for the reduced radial equation; fields may be arrays."""
     mass, hbar, delta = params.mass, params.hbar, params.delta
-    wc, alpha, xi, m = params.omega_c, params.alpha, params.xi, qn.m
+    wc, alpha, xi, m = params.b_field / mass, params.alpha, params.xi, qn.m
     beta0 = 2.0 * mass * params.v1 / (hbar * hbar * delta)
-    beta1 = (2.0 * mass * wc / (hbar * delta)) * (m / alpha**2 + xi / alpha)
-    beta2 = (mass * wc / (hbar * delta)) ** 2
-    eta = (m / alpha + xi) ** 2 - 0.25
+    beta1 = (2.0 * mass * wc / (hbar * delta)) * (m / _square(alpha) + xi / alpha)
+    beta2 = _square(mass * wc / (hbar * delta))
+    eta = _square(m / alpha + xi) - 0.25
     return beta0, beta1, beta2, eta
 
 
@@ -163,7 +172,7 @@ def epsilon_from_energy(params: ModelParams, energy: float) -> float:
 
 
 def energy_from_epsilon(params: ModelParams, epsilon: float) -> float:
-    return -(params.hbar * params.delta) ** 2 * epsilon / (2.0 * params.mass)
+    return -_square(params.hbar * params.delta) * epsilon / (2.0 * params.mass)
 
 
 def effective_potential(params: ModelParams, qn: QuantumNumbers, r):
@@ -206,27 +215,33 @@ def greene_aldrich_ratio(delta: float, r):
     return float(out) if out.ndim == 0 else out
 
 
-def energy_closed_form(params: ModelParams, qn: QuantumNumbers) -> BoundStateReport:
-    """Closed-form bound-state energy for quantum numbers (n, m).
+UNBOUND_REASONS = ("", "small-r exponent complex (angular/field couplings too negative)",
+                   "state not bound by the screened well (decay exponent <= 0)",
+                   "energy not negative (epsilon <= 0)")   # indexed by closed_form's code
 
-    Solves the quantization condition (lam + nu) - sqrt(epsilon+beta0+beta2)
-    = -n for the energy ratio epsilon; non-existence (complex exponents,
-    non-positive decay exponent, or epsilon <= 0 meaning E >= 0) is reported,
-    never raised.
-    """
+
+def closed_form(params: ModelParams, qn: QuantumNumbers):
+    """(reason code, energy, DimensionlessSet) of one state, or of one per row when
+    the fields of params and qn are arrays: solves (lam + nu) - sqrt(epsilon+beta0+beta2)
+    = -n for epsilon. Code 0 is a bound state; another indexes UNBOUND_REASONS."""
     beta0, beta1, beta2, eta = coupling_constants(params, qn)
     nu_disc = 0.25 + beta1 + beta2 + eta
-    if nu_disc < 0.0:
-        return BoundStateReport(False, "small-r exponent complex (angular/field couplings too negative)")
-    big_n = qn.n + 0.5 + math.sqrt(nu_disc)
+    root = np.sqrt(np.maximum(nu_disc, 0.0))   # rows with nu_disc < 0 get code 1
+    big_n = qn.n + 0.5 + root
     lam = (beta0 + beta2 - eta - big_n * big_n) / (2.0 * big_n)
-    if lam <= 0.0:
-        return BoundStateReport(False, "state not bound by the screened well (decay exponent <= 0)")
     epsilon = lam * lam - eta
-    if epsilon <= 0.0:
-        return BoundStateReport(False, "energy not negative (epsilon <= 0)")
-    ds = DimensionlessSet(epsilon, beta0, beta1, beta2, eta, lam, 0.5 + math.sqrt(nu_disc))
-    return BoundStateReport(True, "", energy_from_epsilon(params, epsilon), epsilon, ds)
+    code = np.select([nu_disc < 0.0, lam <= 0.0, epsilon <= 0.0], [1, 2, 3], 0)
+    ds = DimensionlessSet(epsilon, beta0, beta1, beta2, eta, lam, 0.5 + root)
+    return code, energy_from_epsilon(params, epsilon), ds
+
+
+def energy_closed_form(params: ModelParams, qn: QuantumNumbers) -> BoundStateReport:
+    """`closed_form` of one state (n, m); non-existence is reported, never raised."""
+    code, energy, ds = closed_form(params, qn)
+    if code:
+        return BoundStateReport(False, UNBOUND_REASONS[code])
+    ds = DimensionlessSet(*map(float, vars(ds).values()))
+    return BoundStateReport(True, "", float(energy), ds.epsilon, ds)
 
 
 def quantization_residual(ds: DimensionlessSet, n: int) -> float:

@@ -1,8 +1,8 @@
 """Shared quadrature and root-finding engine.
 
-`integrate_samples` applies composite-Simpson weights to values already
-sampled on a uniform grid (the wavefunction/entropy modules all work on
-fixed grids); `bisect` finds roots on a sign-changing bracket.
+`simpson_weights` gives the composite-Simpson weights of a uniform grid
+(the wavefunction/entropy modules all work on fixed grids); `bisect` finds
+roots on a sign-changing bracket.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     w *= h / 3.0
     w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return w
-
-
-def integrate_samples(values: np.ndarray, h: float) -> float | complex:
-    """Integral of uniformly sampled values with composite-Simpson weights."""
-    values = np.asarray(values)
-    w = simpson_weights(values.shape[-1], h)
-    return values @ w
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-12, rtol: float = 0.0,

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError
-from .wavefunction import DEFAULT_POINTS, SampledFunction
-
-UNIFORM_RTOL = 1e-9  # largest grid-point offset from x0 + l*dr, in units of dr
+from .wavefunction import DEFAULT_POINTS, SampledFunction, _uniform_spacing
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,14 @@ def fourier_transform(f: SampledFunction, grid: MomentumGrid) -> SampledFunction
         raise DomainError("input must be a position-domain function")
     x, k = f.x, grid.abscissae()
     n, m = x.size, k.size
-    dr = (x[-1] - x[0]) / (n - 1)
+    dr = _uniform_spacing(x)
     l = np.arange(n)
-    if np.max(np.abs(x - (x[0] + l * dr))) > UNIFORM_RTOL * dr:
-        raise DomainError("position grid must be uniform")
     # k_j x_l = k_j x_0 + k_0 dr l + theta j l, and theta j l splits into the
     # chirps theta j^2/2, theta l^2/2 and -theta (j-l)^2/2 (chirp-z identity)
     theta = (k[-1] - k[0]) / (m - 1) * dr
     lag = np.arange(1 - n, m)                  # every j - l
     chirp = np.exp(0.5j * theta * (lag * lag))
-    pre = f.weights() * f.values * np.exp(-1j * k[0] * dr * l) * np.conj(chirp[n - 1::-1])
+    pre = f.weights * f.values * np.exp(-1j * k[0] * dr * l) * np.conj(chirp[n - 1::-1])
     size = 1 << (n + m - 2).bit_length()       # >= n + m - 1, so no used lag wraps
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + m]
     post = np.exp(-1j * k * x[0]) * np.conj(chirp[n - 1:]) / math.sqrt(2.0 * math.pi)

@@ -11,12 +11,12 @@ integrals use composite-Simpson weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model
-from .numerics import DomainError, integrate_samples, simpson_weights
+from .numerics import DomainError, simpson_weights
 from .specfun import hyp2f1
 
 TWO_PI = 2.0 * math.pi
@@ -24,20 +24,30 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_POINTS = 4096
 TAIL_CUTOFF = 1e-14  # |psi(r_max)|^2 below this fraction of the peak
 R_MIN_LENGTHS = 1e-6  # grids start at r_min = R_MIN_LENGTHS/delta, where 1/sqrt(r) is finite
+UNIFORM_RTOL = 1e-9  # largest grid-point offset from x0 + l*dx, in units of dx
+
+
+def _uniform_spacing(x: np.ndarray) -> float:
+    """Spacing of a grid uniform to UNIFORM_RTOL, from its endpoints; DomainError otherwise."""
+    dx = (x[-1] - x[0]) / (x.size - 1)
+    if np.max(np.abs(x - (x[0] + np.arange(x.size) * dx))) > UNIFORM_RTOL * dx:
+        raise DomainError("grid must be uniform")
+    return dx
 
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function samples on a strictly increasing grid.
+    """Function samples on a strictly increasing grid, with quadrature weights.
 
-    domain is "position" or "momentum"; values may be complex. Grids built
-    by this package are uniform and, in the position domain, strictly
-    positive.
+    domain is "position" or "momentum"; values may be complex. Only a uniform
+    grid may omit weights; it gets composite-Simpson weights, built once and
+    kept by `replace`. Package grids are uniform and, for positions, > 0.
     """
 
     x: np.ndarray
     values: np.ndarray
     domain: str = "position"
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -46,22 +56,18 @@ class SampledFunction:
         object.__setattr__(self, "values", v)
         if x.ndim != 1 or x.size < 2:
             raise DomainError("need a 1-D grid with at least 2 points")
-        if v.shape != x.shape:
-            raise DomainError("values and grid shapes differ")
+        if v.shape != x.shape or (self.weights is not None and np.shape(self.weights) != x.shape):
+            raise DomainError("values, weights and grid shapes differ")
         if np.any(np.diff(x) <= 0):
             raise DomainError("grid must be strictly increasing")
         if self.domain not in ("position", "momentum"):
             raise DomainError(f"unknown domain {self.domain!r}")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    def weights(self) -> np.ndarray:
-        return simpson_weights(self.x.size, self.spacing)
+        if self.weights is None:
+            _uniform_spacing(x)
+            object.__setattr__(self, "weights", simpson_weights(x.size, float(x[1] - x[0])))
 
     def norm_squared(self) -> float:
-        return float(np.real(integrate_samples(np.abs(self.values) ** 2, self.spacing)))
+        return float(np.real(np.abs(self.values) ** 2 @ self.weights))
 
 
 def _radial_profile(params: model.ModelParams, report: model.BoundStateReport,

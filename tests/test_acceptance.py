@@ -55,7 +55,7 @@ def test_criterion_2_gaussian_saturation():
     s_r = entropy.shannon_position(wavefunction.probability_density(psi))
     out = spectral.fourier_transform(psi, spectral.MomentumGrid(8.0, 2049))
     rho_k = wavefunction.probability_density(out)
-    mass = float(np.real(rho_k.values @ rho_k.weights()))
+    mass = float(np.real(rho_k.values @ rho_k.weights))
     rho_k = wavefunction.SampledFunction(rho_k.x, rho_k.values / mass, "momentum")
     s_k = entropy.shannon_momentum(rho_k)
     elapsed = time.perf_counter() - start

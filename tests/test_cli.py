@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from abring import cli
+from abring import cli, model
 from abring.numerics import simpson_weights
 
 
@@ -73,6 +73,103 @@ b_field = 4.0
     assert row[7] == "" and row[8] == ""
 
 
+def _per_point_sweep(cfg):
+    """Sweep points one dict and one ModelParams at a time, first axis outermost,
+    as the per-point path built them."""
+    points = [{}]
+    for names, values in cfg.sweep:
+        points = [dict(p, **dict(zip(names, v))) for p in points for v in values]
+    rows = []
+    for overrides in points:
+        phys, quantum = dict(cfg.physical), {"n": cfg.n, "m": cfg.m}
+        for key, value in overrides.items():
+            if key in ("xi", "phi_ab"):   # a swept flux form overrides the other one
+                phys.pop("phi_ab" if key == "xi" else "xi", None)
+            (quantum if key in cli.QUANTUM_KEYS else phys)[key] = value
+        phi_ab = phys.pop("phi_ab", None)
+        params = model.ModelParams(**phys)
+        if phi_ab is not None:
+            params = params.with_flux(phi_ab)
+        rows.append((overrides, params, model.QuantumNumbers(quantum["n"], quantum["m"])))
+    return rows
+
+
+def _per_point_energy_output(points, out_format):
+    """`abring energy` as the per-point path wrote it: the scalar closed form
+    per point, then that path's row formatting."""
+    rows = [(params, qn, model.energy_closed_form(params, qn)) for _p, params, qn in points]
+    fmt = cli._fmt
+    if out_format == "csv":
+        lines = [cli.ENERGY_HEADER]
+        for params, qn, rep in rows:
+            lines.append(",".join([
+                str(qn.n), str(qn.m), fmt(params.b_field), fmt(params.xi), fmt(params.alpha),
+                fmt(params.delta), fmt(params.v1), fmt(rep.energy) if rep.exists else "",
+                fmt(rep.epsilon) if rep.exists else "", "true" if rep.exists else "false"]))
+        return "\n".join(lines) + "\n"
+    return json.dumps([{
+        "n": qn.n, "m": qn.m, "b_field": params.b_field, "xi": params.xi,
+        "alpha": params.alpha, "delta": params.delta, "v1": params.v1,
+        "energy": rep.energy if rep.exists else None,
+        "epsilon": rep.epsilon if rep.exists else None,
+        "exists": rep.exists, "reason": rep.reason,
+    } for params, qn, rep in rows], indent=2) + "\n"
+
+
+def _seeded_sweeps(rng):
+    axis = lambda lo, hi, k: " ".join(repr(v) for v in rng.uniform(lo, hi, k).tolist())
+    return {
+        "zipped n,m and swept hbar over a phi_ab base": f"""
+[physical]
+phi_ab = {rng.uniform(-3.0, 3.0)!r}
+[sweep]
+n,m = 0,0 1,-1 2,1 0,2 3,-2
+hbar = {axis(0.5, 2.0, 3)}
+b_field = {axis(0.0, 3.0, 3)}
+alpha = {axis(0.2, 1.5, 3)}
+delta = {axis(0.02, 0.5, 3)}
+v1 = {axis(0.5, 40.0, 3)}
+""",
+        "xi axis over a phi_ab base": f"""
+[physical]
+phi_ab = {rng.uniform(-3.0, 3.0)!r}
+mass = {rng.uniform(0.5, 2.0)!r}
+[sweep]
+xi = 0.0 -0.0 {axis(-1.5, 1.5, 3)}
+b_field,alpha = {" ".join(f"{b!r},{a!r}" for b, a in rng.uniform(0.0, 1.5, (3, 2)).tolist())}
+m = -2 0 1
+n = 0 2
+delta = {axis(0.02, 0.5, 3)}
+v1 = {axis(0.5, 40.0, 3)}
+""",
+        "phi_ab axis with swept hbar over an xi base": f"""
+[physical]
+xi = {rng.uniform(-1.0, 1.0)!r}
+[sweep]
+phi_ab = {axis(-3.0, 3.0, 4)}
+hbar = {axis(0.5, 2.0, 3)}
+n,m = 0,0 1,2 2,-1
+b_field = {axis(0.0, 3.0, 3)}
+alpha = {axis(0.2, 1.5, 3)}
+v1 = {axis(0.5, 40.0, 3)}
+""",
+    }
+
+
+def test_columnar_energy_matches_the_per_point_path(tmp_path):
+    reasons = set()
+    for i, body in enumerate(_seeded_sweeps(np.random.default_rng(21)).values()):
+        path = write_config(tmp_path, body, f"sweep{i}.ini")
+        points = _per_point_sweep(cli.parse_config(path))
+        assert list(cli.expand_sweep(cli.parse_config(path))) == points
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out{i}.{fmt}"
+            assert run(["energy", "--config", path, "--out", out, "--format", fmt]) == 0
+            assert out.read_bytes() == _per_point_energy_output(points, fmt).encode("utf-8")
+        reasons |= {row["reason"] for row in json.loads(out.read_text())}
+    assert reasons == set(model.UNBOUND_REASONS)
+
+
 def test_config_errors_exit_2(tmp_path):
     assert run(["energy", "--config", tmp_path / "missing.ini"]) == 2
     bad_key = write_config(tmp_path, "[physical]\nvolume = 3\n", "bad1.ini")
@@ -89,10 +186,31 @@ def test_config_errors_exit_2(tmp_path):
                               "[grid]\nr_points = -5\n", "[grid]\nk_max = 0\n",
                               "[grid]\nr_max = inf\n", "[grid]\nr_max = nan\n",
                               # at or below the grid start r_min = 1e-6/delta
-                              "[physical]\nv1 = 20\n\n[grid]\nr_max = 1e-9\n"]):
+                              "[physical]\nv1 = 20\n\n[grid]\nr_max = 1e-9\n",
+                              # one parameter bound by two axes (xi and phi_ab are one flux)
+                              "[sweep]\nb_field = 1 2\nb_field,phi_ab = 3,1 4,1\n",
+                              "[sweep]\nxi = 0.1 0.2\nphi_ab = 1 2\n",
+                              "[sweep]\nn,n = 0,1 1,2\n",
+                              # integers are held in int64 columns
+                              "[sweep]\nm = 0 100000000000000000000\n"]):
         cfg = write_config(tmp_path, body, f"bad_input{i}.ini")
         for command in ("energy", "entropy", "figures"):
             assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+@pytest.mark.parametrize("body,named", [
+    ("[sweep]\nb_field = 1 2\ndelta = 0.1 -0.2\n", "delta"),
+    ("[sweep]\nn,m = 0,0 1,1\nalpha = 1 0\n", "alpha"),
+    ("[sweep]\nv1 = 20 30\nn = 0 -1\n", "radial index n"),
+    ("[physical]\nv1 = 20\n[grid]\nr_max = 1e-4\n[sweep]\ndelta = 0.1 0.001 0.2\n",
+     "r_max = 0.0001 is not above r_min = 1e-06/delta at delta = 0.001"),
+], ids=["delta", "alpha", "n", "r_max-at-one-delta"])
+def test_bad_value_inside_an_axis_exits_2(tmp_path, capsys, body, named):
+    cfg = write_config(tmp_path, body)
+    for command in ("energy", "entropy"):
+        assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
 
 
 def test_entropy_exit_3_when_nothing_is_bound(tmp_path):

@@ -69,7 +69,7 @@ def test_fft_confirms_direct_quadrature_transform():
     params = default_params()
     psi, _ = wavefunction.normalize(
         wavefunction.radial_eigenfunction(params, model.QuantumNumbers(0, 0), 4096))
-    h = psi.spacing
+    h = psi.x[1] - psi.x[0]
     n_fft = 8 * psi.x.size
     fft_vals = np.fft.fft(np.real(psi.values), n=n_fft) * h / math.sqrt(2.0 * math.pi)
     freqs = np.fft.fftfreq(n_fft, d=h) * 2.0 * math.pi

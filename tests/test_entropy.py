@@ -70,7 +70,7 @@ def test_entropy_sum_invariant_under_dual_scaling():
         s_r = entropy.shannon_position(wavefunction.probability_density(f))
         out = spectral.fourier_transform(f, spectral.MomentumGrid(10.0 / sigma, 4097))
         rho_k = wavefunction.probability_density(out)
-        mass = float(np.real(rho_k.values @ rho_k.weights()))
+        mass = float(np.real(rho_k.values @ rho_k.weights))
         rho_k = wavefunction.SampledFunction(rho_k.x, rho_k.values / mass, "momentum")
         return s_r + entropy.shannon_momentum(rho_k)
 

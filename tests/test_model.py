@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,30 @@ class TestClosedFormSpectrum:
         rep = model.energy_closed_form(params, model.QuantumNumbers(0, 0))
         assert model.energy_from_epsilon(params, rep.epsilon) == rep.energy
         assert model.epsilon_from_energy(params, rep.energy) == rep.epsilon
+
+
+    def test_columns_match_the_scalar_wrapper_bit_for_bit(self):
+        # every operand distinct, so a square taken as x*x instead of Python's
+        # pow (they differ in about 0.08% of operands) would show
+        rng = np.random.default_rng(8)
+        size = 5000
+        rows = SimpleNamespace(
+            mass=rng.uniform(0.5, 2.0, size), hbar=rng.uniform(0.5, 2.0, size),
+            delta=rng.uniform(0.02, 0.5, size), v1=rng.uniform(0.5, 40.0, size),
+            b_field=rng.uniform(0.0, 3.0, size), xi=rng.uniform(-1.5, 1.5, size),
+            alpha=rng.uniform(0.2, 1.5, size), n=rng.integers(0, 4, size),
+            m=rng.integers(-2, 3, size))
+        code, energy, ds = model.closed_form(rows, rows)
+        fields = ("mass", "hbar", "delta", "v1", "b_field", "xi", "alpha")
+        for i in range(size):
+            params = model.ModelParams(**{k: float(getattr(rows, k)[i]) for k in fields})
+            rep = model.energy_closed_form(params, model.QuantumNumbers(int(rows.n[i]),
+                                                                        int(rows.m[i])))
+            assert rep.reason == model.UNBOUND_REASONS[code[i]]
+            if rep.exists:
+                assert (rep.energy, rep.epsilon, rep.dimensionless.lam, rep.dimensionless.nu) \
+                    == (energy[i], ds.epsilon[i], ds.lam[i], ds.nu[i])
+        assert set(code.tolist()) == {0, 1, 2, 3}
 
 
 class TestQuantizationCondition:

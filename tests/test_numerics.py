@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from abring.numerics import DomainError, bisect, integrate_samples, simpson_weights
+from abring.numerics import DomainError, bisect, simpson_weights
 
 
 @pytest.mark.parametrize("n", [100, 101, 4096, 4097])
@@ -12,12 +12,6 @@ def test_simpson_weights_even_and_odd_counts(n):
     w = simpson_weights(n, x[1] - x[0])
     assert abs(np.sin(x) @ w - 2.0) < 1e-7
     assert abs(w.sum() - math.pi) < 1e-12
-
-
-def test_integrate_samples_matches_weights():
-    x = np.linspace(0.0, 1.0, 513)
-    y = np.exp(x)
-    assert abs(integrate_samples(y, x[1] - x[0]) - (math.e - 1.0)) < 1e-12
 
 
 def test_order_four_convergence():

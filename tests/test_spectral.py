@@ -117,7 +117,7 @@ def test_momentum_grid_validation():
 def direct_sum(f, grid, chunk=256):
     """The transform as the plain O(N*Nk) Simpson sum, chunked over k."""
     k = grid.abscissae()
-    weighted = f.weights() * f.values
+    weighted = f.weights * f.values
     out = np.empty(k.size, dtype=complex)
     for i in range(0, k.size, chunk):
         out[i:i + chunk] = np.exp(-1j * np.outer(k[i:i + chunk], f.x)) @ weighted
@@ -150,9 +150,11 @@ def test_chirp_z_matches_the_direct_sum():
 def test_rejects_nonuniform_position_grid():
     r = np.linspace(1.0, 10.0, 64)
     r[10] += 1e-6 * (r[1] - r[0])
-    f = wavefunction.SampledFunction(r, np.exp(-r), "position")
     with pytest.raises(DomainError, match="uniform"):
-        spectral.fourier_transform(f, spectral.MomentumGrid(1.0, 64))
-    geometric = wavefunction.SampledFunction(np.geomspace(1.0, 10.0, 64), np.exp(-r))
+        wavefunction.SampledFunction(r, np.exp(-r), "position")
     with pytest.raises(DomainError, match="uniform"):
-        spectral.fourier_transform(geometric, spectral.MomentumGrid(1.0, 64))
+        wavefunction.SampledFunction(np.geomspace(1.0, 10.0, 64), np.exp(-r))
+    # a grid that brings its own weights is sampled, but the chirp-z sum needs it uniform
+    weighted = wavefunction.SampledFunction(r, np.exp(-r), "position", np.gradient(r))
+    with pytest.raises(DomainError, match="uniform"):
+        spectral.fourier_transform(weighted, spectral.MomentumGrid(1.0, 64))

@@ -33,6 +33,27 @@ class TestSampledFunction:
         with pytest.raises(DomainError):
             wavefunction.SampledFunction(np.array([1.0, 2.0]), np.zeros(2), "fourier")
 
+    def test_carries_simpson_weights(self):
+        x = np.linspace(0.0, 1.0, 513)
+        f = wavefunction.SampledFunction(x, np.exp(x))
+        assert abs(f.values @ f.weights - (math.e - 1.0)) < 1e-12
+        # built once: copies with new values share them
+        assert wavefunction.normalize(f)[0].weights is f.weights
+        assert wavefunction.probability_density(f).weights is f.weights
+
+    def test_nonuniform_grid_needs_explicit_weights(self):
+        # Simpson weights from the first step gave norm_squared 0.2234 here
+        r = np.geomspace(1.0, 10.0, 64)
+        exact = math.exp(-1.0) - math.exp(-10.0)
+        with pytest.raises(DomainError, match="uniform"):
+            wavefunction.SampledFunction(r, np.exp(-r / 2.0))
+        trapezoid = np.gradient(r)
+        trapezoid[[0, -1]] /= 2.0
+        f = wavefunction.SampledFunction(r, np.exp(-r / 2.0), weights=trapezoid)
+        assert abs(f.norm_squared() - exact) < 1e-3
+        with pytest.raises(DomainError, match="shapes"):
+            wavefunction.SampledFunction(r, np.exp(-r / 2.0), weights=trapezoid[1:])
+
 
 class TestNormalize:
     def test_unit_input_keeps_scale_one(self):
@@ -116,7 +137,7 @@ class TestProbabilityDensity:
         rho = wavefunction.probability_density(psi)
         values = np.real(rho.values)
         assert np.all(values >= 0.0)
-        assert abs(values @ rho.weights() - 1.0) < 1e-8
+        assert abs(values @ rho.weights - 1.0) < 1e-8
 
     def test_peak_moves_inward_as_deficit_parameter_grows(self):
         peaks = []
