@@ -14,8 +14,7 @@ from .model import BoundStateReport, DimensionlessSet, ModelParams, \
     energy_closed_form, greene_aldrich_ratio, quantization_residual, \
     quantization_root_bisection
 from .numerics import DomainError, NonConvergenceError, bisect
-from .spectral import MomentumGrid, default_momentum_grid, fourier_transform, \
-    parseval_residual
+from .spectral import MomentumGrid, default_momentum_grid, fourier_transform
 from .specfun import hyp2f1
 from .wavefunction import SampledFunction, count_radial_nodes, normalize, \
     probability_density, radial_eigenfunction, transformed_equation_residual
@@ -29,7 +28,7 @@ __all__ = [
     "bisect", "count_radial_nodes", "default_momentum_grid", "dimensionless",
     "effective_potential", "energy_closed_form", "entropy_pipeline",
     "fourier_transform", "greene_aldrich_ratio", "hyp2f1",
-    "normalize", "parseval_residual", "probability_density",
+    "normalize", "probability_density",
     "quantization_residual", "quantization_root_bisection",
     "radial_eigenfunction", "shannon_momentum", "shannon_position",
     "state_entropies", "transformed_equation_residual",

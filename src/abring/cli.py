@@ -3,7 +3,8 @@
 Config files are flat INI ([physical], [quantum], [grid], [sweep],
 [output]); every key is optional and falls back to documented defaults.
 Sweep axes cross in declaration order, first axis outermost, and expand to
-numpy columns (`Sweep`); `energy` solves and formats those columns whole. A
+numpy columns (`Sweep`), the one sweep form of every command: `energy`
+solves and formats those columns whole, `entropy` solves them row by row. A
 comma-joined key names a zipped parameter group, e.g.
 
     [sweep]
@@ -12,7 +13,7 @@ comma-joined key names a zipped parameter group, e.g.
 
 gives 3 x 5 = 15 rows. Each parameter may be bound by one axis only (xi and
 phi_ab count as one). Exit codes: 0 ok, 2 config error, 3 no computable
-state anywhere in the sweep, 4 numerical non-convergence.
+state anywhere in the sweep, 4 a bound state that cannot be solved.
 """
 
 from __future__ import annotations
@@ -153,17 +154,15 @@ def parse_config(path: str | Path) -> RunConfig:
 class Sweep:
     """Sweep points as rows, first axis outermost: the ModelParams fields and
     n, m are equal-length arrays, so `model.closed_form(sweep, sweep)` solves
-    them all; iterating yields (overrides, params, qn) per point."""
+    them all; iterating yields (params, qn) per point."""
 
-    def __init__(self, axes: list, index: np.ndarray, columns: dict):
-        vars(self).update(columns, axes=axes, index=index)   # index[a, row]: value of axis a
+    def __init__(self, columns: dict):
+        vars(self).update(columns)
 
     def __iter__(self):
         cols = [getattr(self, k).tolist() for k in (*vars(model.ModelParams()), *QUANTUM_KEYS)]
-        for picks, *row in zip(self.index.T.tolist(), *cols):
-            overrides = {name: value for (names, values), i in zip(self.axes, picks)
-                         for name, value in zip(names, values[i])}
-            yield overrides, model.ModelParams(*row[:-2]), model.QuantumNumbers(*row[-2:])
+        for *row, n, m in zip(*cols):
+            yield model.ModelParams(*row), model.QuantumNumbers(n, m)
 
 
 def expand_sweep(cfg: RunConfig) -> Sweep:
@@ -198,14 +197,7 @@ def expand_sweep(cfg: RunConfig) -> Sweep:
     if cfg.r_max is not None and cfg.r_max <= wavefunction.R_MIN_LENGTHS / delta:
         raise ConfigError(f"[grid] r_max = {cfg.r_max:g} is not above r_min = "
                           f"{wavefunction.R_MIN_LENGTHS:g}/delta at delta = {delta:g}")
-    return Sweep(cfg.sweep, index, columns)
-
-
-def _build_point(cfg: RunConfig, overrides: dict):
-    """ModelParams + QuantumNumbers for the base point with overrides, checked as in a sweep."""
-    axes = [((key,), [(value,)]) for key, value in overrides.items()]
-    (_, params, qn), = expand_sweep(replace(cfg, sweep=axes))
-    return params, qn
+    return Sweep(columns)
 
 
 def _fmt(x: float) -> str:
@@ -251,45 +243,49 @@ def cmd_energy(cfg: RunConfig, out_path: str | None = None,
     return 0
 
 
+def _entropies(cfg: RunConfig, params: model.ModelParams,
+               qn: model.QuantumNumbers) -> entropy.EntropyReport:
+    """`entropy_pipeline` at one sweep point; a bound state it cannot solve is
+    re-raised naming the point (exit 4)."""
+    try:
+        return entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points,
+                                        cfg.r_max, cfg.k_max)
+    except DomainError as exc:
+        raise DomainError(f"cannot solve the state at {_echo_params(params, qn)[2:]}: "
+                          f"{exc}") from exc
+
+
 def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
                 out_format: str | None = None) -> int:
-    """Entropy table over the sweep; skips unbound points, exit 3 if all are."""
-    def solve(point):
-        overrides, params, qn = point
+    """Entropy table over the sweep; skips unbound points, exit 3 if all are.
+    A solved row keeps only its JSON report; the echoed columns are formatted
+    once per distinct value, as in `cmd_energy`."""
+    sweep = expand_sweep(cfg)
+    reports = []
+    for params, qn in sweep:
         try:
-            report = entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points,
-                                              cfg.r_max, cfg.k_max)
+            reports.append(_entropies(cfg, params, qn).to_json_dict())
         except model.NoBoundStateError:
-            report = None
-        return overrides, params, qn, report
-
-    rows = [solve(p) for p in expand_sweep(cfg)]
-    if all(rep is None for *_ignored, rep in rows):
+            reports.append(None)
+    if not any(reports):
         print("error: no sweep point has a bound state", file=sys.stderr)
         return 3
 
-    out_format = out_format or cfg.out_format
-    if out_format == "csv":
+    echo = {"n": sweep.n, "m": sweep.m, "b_field": sweep.b_field,
+            "phi_ab": sweep.xi * (2.0 * math.pi * sweep.hbar), "alpha": sweep.alpha}
+    if (out_format or cfg.out_format) == "csv":
         lines = [ENTROPY_HEADER]
-        for overrides, params, qn, rep in rows:
-            phi_ab = params.xi * params.flux_quantum
-            head = [str(qn.n), str(qn.m), _fmt(params.b_field), _fmt(phi_ab),
-                    _fmt(params.alpha)]
-            if rep is None:
-                lines.append(",".join(head + ["", "", "", "skipped"]))
-            else:
-                lines.append(",".join(head + [
-                    f"{rep.s_r:.6f}", f"{rep.s_k:.6f}", f"{rep.sum:.6f}",
-                    "true" if rep.passed else "false",
-                ]))
-        _write(out_path or cfg.out_path, "\n".join(lines) + "\n")
+        for *head, rep in zip(*map(_fmt_column, echo.values()), reports):
+            tail = (["", "", "", "skipped"] if rep is None else
+                    [f"{rep[k]:.6f}" for k in ("s_r", "s_k", "sum")]
+                    + ["true" if rep["pass"] else "false"])
+            lines.append(",".join(head + tail))
+        text = "\n".join(lines)
     else:
-        payload = [{
-            "n": qn.n, "m": qn.m, "b_field": params.b_field,
-            "phi_ab": params.xi * params.flux_quantum, "alpha": params.alpha,
-            "report": rep.to_json_dict() if rep is not None else None,
-        } for overrides, params, qn, rep in rows]
-        _write(out_path or cfg.out_path, json.dumps(payload, indent=2) + "\n")
+        cols = [values.tolist() for values in echo.values()]
+        text = json.dumps([{**dict(zip(echo, row)), "report": rep}
+                           for *row, rep in zip(*cols, reports)], indent=2)
+    _write(out_path or cfg.out_path, text + "\n")
     return 0
 
 
@@ -321,18 +317,19 @@ def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
         if len(names) != 1 or names[0] not in FIGURE_AXES:
             raise ConfigError(f"figures cannot honour sweep axis {','.join(names)!r}: "
                               f"only single-key axes on {', '.join(FIGURE_AXES)}")
-    _, qn = _build_point(cfg, {})
+    axes = {names[0]: values for names, values in cfg.sweep}
+    panels = []   # (fig_id, curve labels, one-axis sweep), all checked before any file
+    for fig_id, key, tag, default_values in FIGURE_PANELS:
+        if key == "phi_ab" and "xi" in axes and "phi_ab" not in axes:
+            key = "xi"
+        values = axes.get(key, [(value,) for value in default_values])
+        panels.append((fig_id, [f"{tag}{_fmt(value)}" for value, in values],
+                       expand_sweep(replace(cfg, sweep=[((key,), values)]))))
     directory = Path(out_dir or (cfg.out_path if cfg.out_path != "-" else "figures_out"))
     directory.mkdir(parents=True, exist_ok=True)
-    overrides = {names[0]: [v[0] for v in values] for names, values in cfg.sweep}
     wrote = 0
-    for fig_id, param_key, tag, default_values in FIGURE_PANELS:
-        if param_key == "phi_ab" and "xi" in overrides and "phi_ab" not in overrides:
-            param_key = "xi"
-        values = overrides.get(param_key, default_values)
-        for value in values:
-            params, _ = _build_point(cfg, {param_key: value})
-            label = f"{tag}{_fmt(value)}"
+    for fig_id, labels, sweep in panels:
+        for label, (params, qn) in zip(labels, sweep):
             # panel 1: effective potential over a few screening lengths
             r = np.linspace(0.02 / params.delta, 4.0 / params.delta, 800)
             v_eff = model.effective_potential(params, qn, r)
@@ -340,8 +337,7 @@ def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
             wrote += 1
             # panels 2 and k: normalized |psi|^2 and |psi~|^2, when the state exists
             try:
-                report = entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points,
-                                                  cfg.r_max, cfg.k_max)
+                report = _entropies(cfg, params, qn)
             except model.NoBoundStateError as exc:
                 print(f"note: {fig_id.replace('fig1', 'fig2')}_{label}: no bound state "
                       f"({exc.reason}); curve skipped", file=sys.stderr)
@@ -396,8 +392,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+    except (DomainError, NonConvergenceError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 
 

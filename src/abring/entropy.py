@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import model, spectral, wavefunction
-from .numerics import DomainError, NonConvergenceError
+from .numerics import DomainError
 
 BBM_BOUND = 1.0 + math.log(math.pi)
 BBM_SLACK = 1e-3
@@ -102,26 +102,18 @@ def state_entropies(psi: wavefunction.SampledFunction,
     The report carries the normalized densities rho_r and rho_k. The momentum
     density is renormalized before S_k so the entropy is taken over a genuine
     density even under window truncation; the pre-renormalization deficit is
-    reported as norm_residual_k. Any stage failure is re-raised tagged with
-    the stage name.
+    reported as norm_residual_k. A stage that cannot proceed raises DomainError.
     """
-    stage = "normalize-position"
-    try:
-        psi, _ = wavefunction.normalize(psi)
-        rho_r = wavefunction.probability_density(psi)
-        mass_r = float(rho_r.values @ rho_r.weights)
-        stage = "position-entropy"
-        s_r = shannon_position(rho_r)
-        stage = "fourier"
-        rho_k = wavefunction.probability_density(spectral.fourier_transform(psi, grid))
-        stage = "momentum-entropy"
-        mass_k = float(rho_k.values @ rho_k.weights)
-        if mass_k <= 0.0 or not math.isfinite(mass_k):
-            raise DomainError("momentum density has no mass")
-        rho_k = replace(rho_k, values=rho_k.values / mass_k)
-        s_k = shannon_momentum(rho_k)
-    except Exception as exc:
-        raise RuntimeError(f"entropy pipeline failed at stage '{stage}': {exc}") from exc
+    psi, _ = wavefunction.normalize(psi)
+    rho_r = wavefunction.probability_density(psi)
+    mass_r = float(rho_r.values @ rho_r.weights)
+    s_r = shannon_position(rho_r)
+    rho_k = wavefunction.probability_density(spectral.fourier_transform(psi, grid))
+    mass_k = float(rho_k.values @ rho_k.weights)
+    if mass_k <= 0.0 or not math.isfinite(mass_k):
+        raise DomainError("momentum density has no mass")
+    rho_k = replace(rho_k, values=rho_k.values / mass_k)
+    s_k = shannon_momentum(rho_k)
     report = bbm_check(s_r, s_k, abs(mass_r - 1.0), abs(mass_r - mass_k))
     return replace(report, rho_r=rho_r, rho_k=rho_k)
 
@@ -135,18 +127,12 @@ def entropy_pipeline(params: model.ModelParams, qn: model.QuantumNumbers,
 
     The only path from a state to its densities and entropies. The state is
     solved once; k_max None picks the window 40*delta*max(1, lam) from that
-    solution. NoBoundStateError propagates untouched (sweeps skip those
-    points); any other stage failure is re-raised tagged with the stage name.
+    solution. Raises NoBoundStateError when the state does not exist (sweeps
+    skip those points), and DomainError when a bound state cannot be sampled,
+    transformed or integrated.
     """
-    stage = "eigenfunction"
-    try:
-        report = wavefunction._bound_state(params, qn)
-        psi = wavefunction._sample(params, report, qn.n, r_points, r_max)
-        stage = "fourier"
-        grid = (spectral.MomentumGrid(k_max, k_points) if k_max is not None else
-                spectral.default_momentum_grid(report.dimensionless.lam, params.delta, k_points))
-    except (model.NoBoundStateError, NonConvergenceError):
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"entropy pipeline failed at stage '{stage}': {exc}") from exc
+    report = wavefunction._bound_state(params, qn)
+    psi = wavefunction._sample(params, report, qn.n, r_points, r_max)
+    grid = (spectral.MomentumGrid(k_max, k_points) if k_max is not None else
+            spectral.default_momentum_grid(report.dimensionless.lam, params.delta, k_points))
     return state_entropies(psi, grid)

@@ -134,12 +134,22 @@ class BoundStateReport:
 
 
 def _square(x):
-    """x**2 as Python's float ** (libm pow) rounds it, also elementwise on arrays:
-    pow differs from x*x (numpy's x**2) in the last bit for about 0.08% of operands."""
+    """x**2 as Python's float ** (libm pow) rounds it, inf where that pow overflows,
+    also elementwise on arrays: pow differs from x*x (numpy's x**2) in the last bit
+    for about 0.08% of operands. A scalar comes back as a numpy float, so dividing
+    by an underflowed square gives inf rather than raising."""
     if isinstance(x, np.ndarray):
         distinct, rows = np.unique(x, return_inverse=True)
-        return np.array([v ** 2 for v in distinct.tolist()], dtype=float)[rows]
-    return x ** 2
+        return np.array([_square(v) for v in distinct.tolist()], dtype=float)[rows]
+    try:
+        return np.float64(float(x) ** 2)
+    except OverflowError:
+        return np.float64(math.inf)
+
+
+def _angular_number(m, alpha, xi):
+    """m/alpha + xi, the angular number of the barrier constant eta = (m/alpha + xi)**2 - 1/4."""
+    return m / alpha + xi
 
 
 def coupling_constants(params: ModelParams, qn: QuantumNumbers):
@@ -149,7 +159,7 @@ def coupling_constants(params: ModelParams, qn: QuantumNumbers):
     beta0 = 2.0 * mass * params.v1 / (hbar * hbar * delta)
     beta1 = (2.0 * mass * wc / (hbar * delta)) * (m / _square(alpha) + xi / alpha)
     beta2 = _square(mass * wc / (hbar * delta))
-    eta = _square(m / alpha + xi) - 0.25
+    eta = _square(_angular_number(m, alpha, xi)) - 0.25
     return beta0, beta1, beta2, eta
 
 
@@ -167,10 +177,6 @@ def dimensionless(params: ModelParams, qn: QuantumNumbers, epsilon: float) -> Di
     return DimensionlessSet(epsilon, beta0, beta1, beta2, eta, lam, nu)
 
 
-def epsilon_from_energy(params: ModelParams, energy: float) -> float:
-    return -2.0 * params.mass * energy / (params.hbar * params.delta) ** 2
-
-
 def energy_from_epsilon(params: ModelParams, epsilon: float) -> float:
     return -_square(params.hbar * params.delta) * epsilon / (2.0 * params.mass)
 
@@ -179,10 +185,8 @@ def effective_potential(params: ModelParams, qn: QuantumNumbers, r):
     """Effective radial potential (exact form, before any approximation).
 
     Four terms: the screened Coulomb well, the field-angular cross term,
-    the screened-field quadratic term, and the angular/centrifugal barrier.
-    The barrier here carries the (m/alpha**2 + xi) combination of the raw
-    radial reduction; the spectrum path uses the eta of `dimensionless`
-    instead (see package docs for the distinction).
+    the screened-field quadratic term, and the angular/centrifugal barrier
+    hbar**2/(2*mass) * eta / r**2, with the spectrum's eta.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
@@ -194,7 +198,8 @@ def effective_potential(params: ModelParams, qn: QuantumNumbers, r):
     yukawa = -params.v1 * em / r
     cross = hbar * wc * (m / alpha**2 + xi / alpha) * em / (one_minus * r)
     quad = 0.5 * mass * wc * wc * em * em / one_minus**2
-    barrier = (hbar * hbar / (2.0 * mass)) * ((m / alpha**2 + xi) ** 2 - 0.25) / r**2
+    eta = _square(_angular_number(m, alpha, xi)) - 0.25
+    barrier = (hbar * hbar / (2.0 * mass)) * eta / r**2
     out = yukawa + cross + quad + barrier
     return float(out) if out.ndim == 0 else out
 
@@ -215,11 +220,14 @@ def greene_aldrich_ratio(delta: float, r):
     return float(out) if out.ndim == 0 else out
 
 
+# indexed by closed_form's code
 UNBOUND_REASONS = ("", "small-r exponent complex (angular/field couplings too negative)",
                    "state not bound by the screened well (decay exponent <= 0)",
-                   "energy not negative (epsilon <= 0)")   # indexed by closed_form's code
+                   "energy not negative (epsilon <= 0)",
+                   "closed form not finite in double precision (overflow or underflow)")
 
 
+@np.errstate(all="ignore")   # an overflowing row gets code 4, not a RuntimeWarning
 def closed_form(params: ModelParams, qn: QuantumNumbers):
     """(reason code, energy, DimensionlessSet) of one state, or of one per row when
     the fields of params and qn are arrays: solves (lam + nu) - sqrt(epsilon+beta0+beta2)
@@ -230,14 +238,17 @@ def closed_form(params: ModelParams, qn: QuantumNumbers):
     big_n = qn.n + 0.5 + root
     lam = (beta0 + beta2 - eta - big_n * big_n) / (2.0 * big_n)
     epsilon = lam * lam - eta
-    code = np.select([nu_disc < 0.0, lam <= 0.0, epsilon <= 0.0], [1, 2, 3], 0)
+    energy = energy_from_epsilon(params, epsilon)
+    code = np.select([nu_disc < 0.0, lam <= 0.0, epsilon <= 0.0, ~np.isfinite(energy)],
+                     [1, 2, 3, 4], 0)
     ds = DimensionlessSet(epsilon, beta0, beta1, beta2, eta, lam, 0.5 + root)
-    return code, energy_from_epsilon(params, epsilon), ds
+    return code, energy, ds
 
 
 def energy_closed_form(params: ModelParams, qn: QuantumNumbers) -> BoundStateReport:
     """`closed_form` of one state (n, m); non-existence is reported, never raised."""
-    code, energy, ds = closed_form(params, qn)
+    # numpy scalars divide by an underflowed zero to inf (code 4) where floats would raise
+    code, energy, ds = closed_form(ModelParams(*map(np.float64, vars(params).values())), qn)
     if code:
         return BoundStateReport(False, UNBOUND_REASONS[code])
     ds = DimensionlessSet(*map(float, vars(ds).values()))

@@ -66,8 +66,3 @@ def fourier_transform(f: SampledFunction, grid: MomentumGrid) -> SampledFunction
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp, size))[n - 1:n - 1 + m]
     post = np.exp(-1j * k * x[0]) * np.conj(chirp[n - 1:]) / math.sqrt(2.0 * math.pi)
     return SampledFunction(k, post * conv, "momentum")
-
-
-def parseval_residual(f_pos: SampledFunction, f_mom: SampledFunction) -> float:
-    """| integral |psi|^2 dr - integral |psi~|^2 dk | for a transform pair."""
-    return abs(f_pos.norm_squared() - f_mom.norm_squared())

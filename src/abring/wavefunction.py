@@ -145,11 +145,6 @@ def probability_density(f: SampledFunction) -> SampledFunction:
     return replace(f, values=np.abs(f.values) ** 2)
 
 
-def density_peak_radius(f: SampledFunction) -> float:
-    """Grid location of the density maximum."""
-    return float(f.x[np.argmax(np.abs(f.values) ** 2)])
-
-
 def count_radial_nodes(f: SampledFunction, floor: float = 1e-8) -> int:
     """Sign changes of the (real) radial function away from its tiny tails."""
     v = np.real(f.values)

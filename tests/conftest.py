@@ -11,18 +11,18 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def _run_sweep(config_name: str):
     """Entropy pipeline over a fixture sweep; returns (rows, elapsed_seconds).
 
-    Rows are (overrides, params, qn, report_or_None) in emission order.
+    Rows are (params, qn, report_or_None) in emission order.
     """
     cfg = cli.parse_config(FIXTURES / config_name)
     points = cli.expand_sweep(cfg)
     rows = []
     start = time.perf_counter()
-    for overrides, params, qn in points:
+    for params, qn in points:
         try:
             report = entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points)
         except model.NoBoundStateError:
             report = None
-        rows.append((overrides, params, qn, report))
+        rows.append((params, qn, report))
     return rows, time.perf_counter() - start
 
 

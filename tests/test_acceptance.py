@@ -25,11 +25,14 @@ def report(num, ok, detail):
     return ok
 
 
-def rows_at(sweep_rows, **match):
+def rows_at(sweep_rows, phi_ab=None, **match):
+    """Rows whose params and qn fields equal match; phi_ab is matched as the xi it sets."""
     picked = []
-    for overrides, params, qn, rep in sweep_rows:
-        if all(overrides.get(k) == v for k, v in match.items()):
-            picked.append((overrides, params, qn, rep))
+    for params, qn, rep in sweep_rows:
+        fields = {**vars(params), **vars(qn)}
+        if all(fields[k] == v for k, v in match.items()) and (
+                phi_ab is None or params == params.with_flux(phi_ab)):
+            picked.append((params, qn, rep))
     return picked
 
 

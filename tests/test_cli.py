@@ -1,10 +1,12 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from abring import cli, model
+from abring import cli, entropy, model
 from abring.numerics import simpson_weights
 
 
@@ -90,14 +92,14 @@ def _per_point_sweep(cfg):
         params = model.ModelParams(**phys)
         if phi_ab is not None:
             params = params.with_flux(phi_ab)
-        rows.append((overrides, params, model.QuantumNumbers(quantum["n"], quantum["m"])))
+        rows.append((params, model.QuantumNumbers(quantum["n"], quantum["m"])))
     return rows
 
 
 def _per_point_energy_output(points, out_format):
     """`abring energy` as the per-point path wrote it: the scalar closed form
     per point, then that path's row formatting."""
-    rows = [(params, qn, model.energy_closed_form(params, qn)) for _p, params, qn in points]
+    rows = [(params, qn, model.energy_closed_form(params, qn)) for params, qn in points]
     fmt = cli._fmt
     if out_format == "csv":
         lines = [cli.ENERGY_HEADER]
@@ -128,7 +130,7 @@ hbar = {axis(0.5, 2.0, 3)}
 b_field = {axis(0.0, 3.0, 3)}
 alpha = {axis(0.2, 1.5, 3)}
 delta = {axis(0.02, 0.5, 3)}
-v1 = {axis(0.5, 40.0, 3)}
+v1 = {axis(0.5, 40.0, 3)} 1e300
 """,
         "xi axis over a phi_ab base": f"""
 [physical]
@@ -149,7 +151,7 @@ xi = {rng.uniform(-1.0, 1.0)!r}
 phi_ab = {axis(-3.0, 3.0, 4)}
 hbar = {axis(0.5, 2.0, 3)}
 n,m = 0,0 1,2 2,-1
-b_field = {axis(0.0, 3.0, 3)}
+b_field = {axis(0.0, 3.0, 3)} 1e200
 alpha = {axis(0.2, 1.5, 3)}
 v1 = {axis(0.5, 40.0, 3)}
 """,
@@ -168,6 +170,89 @@ def test_columnar_energy_matches_the_per_point_path(tmp_path):
             assert out.read_bytes() == _per_point_energy_output(points, fmt).encode("utf-8")
         reasons |= {row["reason"] for row in json.loads(out.read_text())}
     assert reasons == set(model.UNBOUND_REASONS)
+
+
+@pytest.mark.parametrize("body", ["v1 = 1e300", "delta = 1e-300", "hbar = 1e-200",
+                                  "b_field = 1e200"])
+def test_nonfinite_closed_form_is_refused_per_row(tmp_path, capsys, body):
+    cfg = write_config(tmp_path, f"[physical]\n{body}\n")
+    out = tmp_path / "out"
+    assert run(["energy", "--config", cfg, "--out", out]) == 0
+    assert out.read_text().strip().split("\n")[1].endswith(",,,false")
+    assert run(["energy", "--config", cfg, "--out", out, "--format", "json"]) == 0
+    row, = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert not row["exists"] and row["energy"] is None
+    assert row["reason"] == model.UNBOUND_REASONS[4]
+    assert run(["entropy", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "error: no sweep point has a bound state\n"
+
+
+def _per_point_entropy_output(cfg, points):
+    """`abring entropy` CSV and JSON as the per-point path wrote them: one
+    `entropy_pipeline` report kept per point, then that path's row formatting."""
+    rows = []
+    for params, qn in points:
+        try:
+            rep = entropy.entropy_pipeline(params, qn, cfg.r_points, cfg.k_points,
+                                           cfg.r_max, cfg.k_max)
+        except model.NoBoundStateError:
+            rep = None
+        rows.append((params, qn, rep))
+    lines = [cli.ENTROPY_HEADER]
+    for params, qn, rep in rows:
+        head = [str(qn.n), str(qn.m), cli._fmt(params.b_field),
+                cli._fmt(params.xi * params.flux_quantum), cli._fmt(params.alpha)]
+        tail = ["", "", "", "skipped"] if rep is None else [
+            f"{rep.s_r:.6f}", f"{rep.s_k:.6f}", f"{rep.sum:.6f}", "true" if rep.passed else "false"]
+        lines.append(",".join(head + tail))
+    payload = [{
+        "n": qn.n, "m": qn.m, "b_field": params.b_field,
+        "phi_ab": params.xi * params.flux_quantum, "alpha": params.alpha,
+        "report": rep.to_json_dict() if rep is not None else None,
+    } for params, qn, rep in rows]
+    return {"csv": "\n".join(lines) + "\n", "json": json.dumps(payload, indent=2) + "\n"}
+
+
+def test_columnar_entropy_echo_matches_the_per_point_path(tmp_path):
+    rng = np.random.default_rng(22)
+    axis = lambda lo, hi, k: " ".join(repr(v) for v in rng.uniform(lo, hi, k).tolist())
+    grid = "[grid]\nr_points = 65\nk_points = 65\n"
+    bodies = [f"""
+[physical]
+xi = {rng.uniform(-1.0, 1.0)!r}
+delta = {rng.uniform(0.05, 0.3)!r}
+{grid}
+[sweep]
+phi_ab = -0.0 {axis(-3.0, 3.0, 2)}
+hbar = {axis(0.5, 2.0, 2)}
+n,m = 0,0 1,-1 2,1
+b_field = {axis(0.0, 3.0, 2)}
+v1 = 0.5 {axis(5.0, 40.0, 1)}
+""", f"""
+[physical]
+phi_ab = {rng.uniform(-3.0, 3.0)!r}
+mass = {rng.uniform(0.5, 2.0)!r}
+{grid}
+[sweep]
+xi = 0.0 -0.0 {axis(-1.5, 1.5, 2)}
+n,m = 0,0 1,1 0,-2
+b_field,alpha = {" ".join(f"{b!r},{a!r}" for b, a in rng.uniform(0.2, 1.5, (2, 2)).tolist())}
+v1 = 0.5 {axis(5.0, 40.0, 1)}
+"""]
+    statuses = set()
+    for i, body in enumerate(bodies):
+        path = write_config(tmp_path, body, f"sweep{i}.ini")
+        cfg = cli.parse_config(path)
+        points = _per_point_sweep(cfg)
+        assert list(cli.expand_sweep(cfg)) == points
+        expected = _per_point_entropy_output(cfg, points)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out{i}.{fmt}"
+            assert run(["entropy", "--config", path, "--out", out, "--format", fmt]) == 0
+            assert out.read_bytes() == expected[fmt].encode("utf-8")
+        statuses |= {line.split(",")[-1] for line in expected["csv"].split("\n")[1:-1]}
+        assert ",-0," in expected["csv"]   # the signed zero flux is echoed as such
+    assert statuses == {"true", "skipped"}
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -211,6 +296,19 @@ def test_bad_value_inside_an_axis_exits_2(tmp_path, capsys, body, named):
         assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["entropy", "figures"])
+def test_unsolvable_bound_state_exits_4_naming_it(tmp_path, command):
+    # bound in closed form, but decaying within r_min = 1e-6/delta: no grid can sample it
+    cfg = write_config(tmp_path, "[physical]\nv1 = 1e12\n")
+    proc = subprocess.run([sys.executable, "-m", "abring", command, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert line.startswith("numerical failure: cannot solve the state at ")
+    assert "v1=1e+12" in line and "n=0 m=0" in line and "r_max must exceed r_min" in line
 
 
 def test_entropy_exit_3_when_nothing_is_bound(tmp_path):
@@ -411,8 +509,7 @@ k_max = 30.0
 
 def test_inline_comments_in_config(tmp_path):
     cfg = write_config(tmp_path, "[physical]\ndelta = 0.2  ; screening\n")
-    parsed = cli.parse_config(cfg)
-    params, _ = cli._build_point(parsed, {})
+    (params, _qn), = cli.expand_sweep(cli.parse_config(cfg))
     assert params.delta == 0.2
 
 
@@ -427,7 +524,7 @@ phi_ab = 1.0
 xi = 0.25 0.5
 """)
     points = cli.expand_sweep(cli.parse_config(cfg))
-    assert [params.xi for _o, params, _q in points] == [0.25, 0.5]
+    assert [params.xi for params, _q in points] == [0.25, 0.5]
 
 
 def test_parse_config_defaults(tmp_path):
@@ -435,7 +532,7 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.r_points == 4096 and cfg.k_points == 4096
     assert cfg.r_max is None and cfg.k_max is None
     assert cfg.out_format == "csv"
-    params, qn = cli._build_point(cfg, {})
+    (params, qn), = cli.expand_sweep(cfg)
     assert params.delta == 0.2 and params.v1 == 1.0
     assert params.mass == 1.0 and params.hbar == 1.0
     assert qn.n == 0 and qn.m == 0

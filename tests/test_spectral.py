@@ -60,8 +60,6 @@ def test_hermitian_symmetry_for_real_input():
 def test_parseval_gaussian_pair():
     psi = gaussian_state()
     grid = spectral.MomentumGrid(8.0, 4097)
-    out = spectral.fourier_transform(psi, grid)
-    assert spectral.parseval_residual(psi, out) < 1e-8
     assert entropy.state_entropies(psi, grid).norm_residual_k < 1e-8
 
 
@@ -70,19 +68,15 @@ def test_truncated_window_flags_and_loses_mass():
     # entropy report carries the same loss as norm_residual_k
     psi = gaussian_state()
     k90 = 1.1631  # erf(k90) ~ 0.90 for the unit-width |psi~|^2
-    grid = spectral.MomentumGrid(k90, 2049)
-    out = spectral.fourier_transform(psi, grid)
-    residual = spectral.parseval_residual(psi, out)
+    residual = entropy.state_entropies(psi, spectral.MomentumGrid(k90, 2049)).norm_residual_k
     assert abs(residual - (1.0 - math.erf(k90))) < 0.01
     assert abs(residual - 0.1) < 0.02
-    assert abs(entropy.state_entropies(psi, grid).norm_residual_k - 0.1) < 0.02
 
 
 def test_parseval_residual_shrinks_with_window():
     psi = gaussian_state()
-    residuals = [spectral.parseval_residual(
-        psi, spectral.fourier_transform(psi, spectral.MomentumGrid(k, 2049)))
-        for k in (1.1631, 2.3262, 4.6524)]
+    residuals = [entropy.state_entropies(psi, spectral.MomentumGrid(k, 2049)).norm_residual_k
+                 for k in (1.1631, 2.3262, 4.6524)]
     assert residuals[0] > residuals[1] > residuals[2]
 
 
@@ -92,8 +86,6 @@ def test_eigenstate_parseval_at_default_grids():
     psi, _ = wavefunction.normalize(
         wavefunction.radial_eigenfunction(params, model.QuantumNumbers(0, 0)))
     grid = spectral.default_momentum_grid(rep.dimensionless.lam, params.delta)
-    out = spectral.fourier_transform(psi, grid)
-    assert spectral.parseval_residual(psi, out) < 1e-4
     assert entropy.state_entropies(psi, grid).norm_residual_k < 1e-4
 
 

@@ -146,7 +146,7 @@ class TestProbabilityDensity:
                                        alpha=alpha).with_flux(1.0)
             psi, _ = wavefunction.normalize(
                 wavefunction.radial_eigenfunction(params, model.QuantumNumbers(0, 0)))
-            peaks.append(wavefunction.density_peak_radius(psi))
+            peaks.append(psi.x[np.argmax(np.abs(psi.values) ** 2)])
         assert peaks[0] > peaks[1] > peaks[2]
 
 
