@@ -218,15 +218,14 @@ def _fmt_column(values: np.ndarray) -> list:
     return np.array([fmt(v) for v in bits.view(values.dtype).tolist()], object)[rows].tolist()
 
 
-def cmd_energy(cfg: RunConfig, out_path: str | None = None,
-               out_format: str | None = None) -> int:
+def cmd_energy(cfg: RunConfig) -> int:
     """One row per sweep point: closed-form energy or a graceful non-existence,
     solved as columns, from which CSV or JSON is written."""
     sweep = expand_sweep(cfg)
     code, energy, ds = model.closed_form(sweep, sweep)
     bound = code == 0
     echo = {k: getattr(sweep, k) for k in ("n", "m", "b_field", "xi", "alpha", "delta", "v1")}
-    if (out_format or cfg.out_format) == "csv":
+    if cfg.out_format == "csv":
         cols = [_fmt_column(values) for values in echo.values()]
         ok = bound.tolist()
         cols += [[_fmt(x) if b else "" for x, b in zip(values.tolist(), ok)]
@@ -239,7 +238,7 @@ def cmd_energy(cfg: RunConfig, out_path: str | None = None,
                             "epsilon": eps if ok else None, "exists": ok,
                             "reason": model.UNBOUND_REASONS[c]}
                            for *row, e, eps, ok, c in zip(*cols)], indent=2)
-    _write(out_path or cfg.out_path, text + "\n")
+    _write(cfg.out_path, text + "\n")
     return 0
 
 
@@ -255,8 +254,7 @@ def _entropies(cfg: RunConfig, params: model.ModelParams,
                           f"{exc}") from exc
 
 
-def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
-                out_format: str | None = None) -> int:
+def cmd_entropy(cfg: RunConfig) -> int:
     """Entropy table over the sweep; skips unbound points, exit 3 if all are.
     A solved row keeps only its JSON report; the echoed columns are formatted
     once per distinct value, as in `cmd_energy`."""
@@ -273,7 +271,7 @@ def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
 
     echo = {"n": sweep.n, "m": sweep.m, "b_field": sweep.b_field,
             "phi_ab": sweep.xi * (2.0 * math.pi * sweep.hbar), "alpha": sweep.alpha}
-    if (out_format or cfg.out_format) == "csv":
+    if cfg.out_format == "csv":
         lines = [ENTROPY_HEADER]
         for *head, rep in zip(*map(_fmt_column, echo.values()), reports):
             tail = (["", "", "", "skipped"] if rep is None else
@@ -285,7 +283,7 @@ def cmd_entropy(cfg: RunConfig, out_path: str | None = None,
         cols = [values.tolist() for values in echo.values()]
         text = json.dumps([{**dict(zip(echo, row)), "report": rep}
                            for *row, rep in zip(*cols, reports)], indent=2)
-    _write(out_path or cfg.out_path, text + "\n")
+    _write(cfg.out_path, text + "\n")
     return 0
 
 
@@ -304,14 +302,15 @@ def _echo_params(params: model.ModelParams, qn: model.QuantumNumbers) -> str:
             f"alpha={_fmt(params.alpha)} n={qn.n} m={qn.m}")
 
 
-def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
+def cmd_figures(cfg: RunConfig) -> int:
     """Two-column plot data: potential, density and momentum-density curves.
 
     Emits fig1{a,b,c}_* (V_eff vs r, varying field / deficit / flux),
     fig2{a,b,c}_* (normalized |psi|^2 vs r; densities, not r|psi|^2) and
     figk{a,b,c}_* (normalized |psi~|^2 vs k). Sweep axes in the config
     override a panel's default variation values; any other axis is a config
-    error. Curves whose state is unbound are skipped with a note on stderr.
+    error. Curves whose state is unbound, or that hold a non-finite value, are
+    skipped with a note on stderr.
     """
     for names, _values in cfg.sweep:
         if len(names) != 1 or names[0] not in FIGURE_AXES:
@@ -325,26 +324,29 @@ def cmd_figures(cfg: RunConfig, out_dir: str | None = None) -> int:
         values = axes.get(key, [(value,) for value in default_values])
         panels.append((fig_id, [f"{tag}{_fmt(value)}" for value, in values],
                        expand_sweep(replace(cfg, sweep=[((key,), values)]))))
-    directory = Path(out_dir or (cfg.out_path if cfg.out_path != "-" else "figures_out"))
+    directory = Path(cfg.out_path if cfg.out_path != "-" else "figures_out")
     directory.mkdir(parents=True, exist_ok=True)
     wrote = 0
     for fig_id, labels, sweep in panels:
         for label, (params, qn) in zip(labels, sweep):
             # panel 1: effective potential over a few screening lengths
             r = np.linspace(0.02 / params.delta, 4.0 / params.delta, 800)
-            v_eff = model.effective_potential(params, qn, r)
-            _write_curve(directory / f"{fig_id}_{label}.dat", params, qn, r, v_eff)
-            wrote += 1
+            curves = [("fig1", r, model.effective_potential(params, qn, r))]
             # panels 2 and k: normalized |psi|^2 and |psi~|^2, when the state exists
             try:
                 report = _entropies(cfg, params, qn)
+                curves += [(prefix, rho.x, rho.values)
+                           for prefix, rho in (("fig2", report.rho_r), ("figk", report.rho_k))]
             except model.NoBoundStateError as exc:
                 print(f"note: {fig_id.replace('fig1', 'fig2')}_{label}: no bound state "
                       f"({exc.reason}); curve skipped", file=sys.stderr)
-                continue
-            for prefix, rho in (("fig2", report.rho_r), ("figk", report.rho_k)):
-                _write_curve(directory / f"{fig_id.replace('fig1', prefix)}_{label}.dat",
-                             params, qn, rho.x, rho.values)
+            for prefix, x, y in curves:
+                name = f"{fig_id.replace('fig1', prefix)}_{label}"
+                if not np.isfinite(y).all():
+                    print(f"note: {name}: not finite in double precision; curve skipped",
+                          file=sys.stderr)
+                    continue
+                _write_curve(directory / f"{name}.dat", params, qn, x, y)
                 wrote += 1
     print(f"wrote {wrote} curve files to {directory}", file=sys.stderr)
     return 0
@@ -384,11 +386,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_check()
     try:
         cfg = parse_config(args.config)
+        cfg.out_path = args.out or cfg.out_path
+        cfg.out_format = getattr(args, "format", None) or cfg.out_format
         if args.command == "energy":
-            return cmd_energy(cfg, args.out, args.format)
+            return cmd_energy(cfg)
         if args.command == "entropy":
-            return cmd_entropy(cfg, args.out, args.format)
-        return cmd_figures(cfg, args.out)
+            return cmd_entropy(cfg)
+        return cmd_figures(cfg)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,14 @@
 A charged particle moves in a plane with a conical defect (deficit
 parameter alpha), threaded by a flux line (xi, in flux quanta) and an
 exponentially screened magnetic field, and bound by the screened Coulomb
-well -v1 * exp(-delta*r)/r. After the Greene-Aldrich replacement
-1/r**2 -> delta**2/(1 - exp(-delta*r))**2 the radial problem is solvable
-in closed form; this module carries both the closed-form spectrum and an
-independent bisection oracle on the quantization condition so the two can
-be checked against each other.
+well -v1 * exp(-delta*r)/r. With s = exp(-delta*r), the Greene-Aldrich
+replacement 1/r -> delta/(1 - s) in every term makes the radial problem
+solvable in closed form. This module carries the closed-form spectrum and an
+independent bisection oracle on the quantization condition; the spectrum and
+the plotted potential share the four couplings of `coupling_constants`.
+Squares are correctly rounded products x*x, the same bits on floats and columns.
 
-Default units: hbar = mass = 1, with charge and light speed fixed at 1, so
-omega_c equals the field strength b_field and one flux quantum is 2*pi.
+Default units: hbar = mass = 1, charge and light speed 1; one flux quantum is 2*pi.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class ModelParams:
             raise DomainError("deficit parameter alpha must be finite and > 0")
         if not -inf < self.xi < inf:
             raise DomainError("flux xi must be finite")
-
-    @property
-    def omega_c(self) -> float:
-        """Cyclotron frequency B/mass (charge and light speed are 1)."""
-        return self.b_field / self.mass
 
     @property
     def flux_quantum(self) -> float:
@@ -133,34 +128,14 @@ class BoundStateReport:
     dimensionless: DimensionlessSet | None = None
 
 
-def _square(x):
-    """x**2 as Python's float ** (libm pow) rounds it, inf where that pow overflows,
-    also elementwise on arrays: pow differs from x*x (numpy's x**2) in the last bit
-    for about 0.08% of operands. A scalar comes back as a numpy float, so dividing
-    by an underflowed square gives inf rather than raising."""
-    if isinstance(x, np.ndarray):
-        distinct, rows = np.unique(x, return_inverse=True)
-        return np.array([_square(v) for v in distinct.tolist()], dtype=float)[rows]
-    try:
-        return np.float64(float(x) ** 2)
-    except OverflowError:
-        return np.float64(math.inf)
-
-
-def _angular_number(m, alpha, xi):
-    """m/alpha + xi, the angular number of the barrier constant eta = (m/alpha + xi)**2 - 1/4."""
-    return m / alpha + xi
-
-
 def coupling_constants(params: ModelParams, qn: QuantumNumbers):
     """(beta0, beta1, beta2, eta) for the reduced radial equation; fields may be arrays."""
     mass, hbar, delta = params.mass, params.hbar, params.delta
     wc, alpha, xi, m = params.b_field / mass, params.alpha, params.xi, qn.m
     beta0 = 2.0 * mass * params.v1 / (hbar * hbar * delta)
-    beta1 = (2.0 * mass * wc / (hbar * delta)) * (m / _square(alpha) + xi / alpha)
-    beta2 = _square(mass * wc / (hbar * delta))
-    eta = _square(_angular_number(m, alpha, xi)) - 0.25
-    return beta0, beta1, beta2, eta
+    beta1 = (2.0 * mass * wc / (hbar * delta)) * (m / (alpha * alpha) + xi / alpha)
+    field, angular = mass * wc / (hbar * delta), m / alpha + xi
+    return beta0, beta1, field * field, angular * angular - 0.25
 
 
 def dimensionless(params: ModelParams, qn: QuantumNumbers, epsilon: float) -> DimensionlessSet:
@@ -178,29 +153,31 @@ def dimensionless(params: ModelParams, qn: QuantumNumbers, epsilon: float) -> Di
 
 
 def energy_from_epsilon(params: ModelParams, epsilon: float) -> float:
-    return -_square(params.hbar * params.delta) * epsilon / (2.0 * params.mass)
+    scale = params.hbar * params.delta
+    return -(scale * scale) * epsilon / (2.0 * params.mass)
 
 
+@np.errstate(all="ignore")   # a term that overflows gives inf or nan, for the caller to refuse
 def effective_potential(params: ModelParams, qn: QuantumNumbers, r):
     """Effective radial potential (exact form, before any approximation).
 
-    Four terms: the screened Coulomb well, the field-angular cross term,
-    the screened-field quadratic term, and the angular/centrifugal barrier
-    hbar**2/(2*mass) * eta / r**2, with the spectrum's eta.
+    With s = exp(-delta*r) and the spectrum's couplings, it is
+    hbar**2/(2*mass) * [delta*(beta1/(1-s) - beta0)*s/r + beta2*(delta*s/(1-s))**2 + eta/r**2]:
+    the screened Coulomb well, the field-angular cross term, the
+    screened-field quadratic term and the angular/centrifugal barrier.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise DomainError("effective_potential requires r > 0")
-    mass, hbar, delta = params.mass, params.hbar, params.delta
-    wc, alpha, xi, m = params.omega_c, params.alpha, params.xi, qn.m
-    em = np.exp(-delta * r)
+    # numpy scalars overflow or divide by an underflowed zero to inf where floats would raise
+    beta0, beta1, beta2, eta = coupling_constants(
+        ModelParams(*map(np.float64, vars(params).values())), qn)
+    delta = params.delta
+    s = np.exp(-delta * r)
     one_minus = -np.expm1(-delta * r)
-    yukawa = -params.v1 * em / r
-    cross = hbar * wc * (m / alpha**2 + xi / alpha) * em / (one_minus * r)
-    quad = 0.5 * mass * wc * wc * em * em / one_minus**2
-    eta = _square(_angular_number(m, alpha, xi)) - 0.25
-    barrier = (hbar * hbar / (2.0 * mass)) * eta / r**2
-    out = yukawa + cross + quad + barrier
+    field = delta * s / one_minus
+    out = (params.hbar * params.hbar / (2.0 * params.mass)) * (
+        delta * (beta1 / one_minus - beta0) * s / r + beta2 * (field * field) + eta / (r * r))
     return float(out) if out.ndim == 0 else out
 
 
@@ -265,8 +242,7 @@ def quantization_residual(ds: DimensionlessSet, n: int) -> float:
     return (ds.lam + ds.nu) - math.sqrt(ds.epsilon + ds.beta0 + ds.beta2) + n
 
 
-def quantization_root_bisection(params: ModelParams, qn: QuantumNumbers,
-                                rtol: float = 1e-13) -> float | None:
+def quantization_root_bisection(params: ModelParams, qn: QuantumNumbers) -> float | None:
     """Independent oracle: bisect the quantization condition for epsilon.
 
     Does not use the closed form. The residual is monotone in epsilon and
@@ -289,4 +265,4 @@ def quantization_root_bisection(params: ModelParams, qn: QuantumNumbers,
         hi *= 2.0
     else:
         return None
-    return bisect(residual, lo, hi, tol=1e-14, rtol=rtol)
+    return bisect(residual, lo, hi, tol=1e-14, rtol=1e-13)

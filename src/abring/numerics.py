@@ -47,12 +47,12 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def bisect(f, lo: float, hi: float, tol: float = 1e-12, rtol: float = 0.0,
-           max_iter: int = 200) -> float:
+def bisect(f, lo: float, hi: float, tol: float = 1e-12, rtol: float = 0.0) -> float:
     """Bisection root of f on a sign-changing bracket [lo, hi].
 
     The bracket width halves each iteration; stops once it drops below
-    max(tol, rtol*|hi|). Raises DomainError without a sign change.
+    max(tol, rtol*|hi|), or after 200 halvings. Raises DomainError without a
+    sign change.
     """
     if not lo < hi:
         raise DomainError("bracket must satisfy lo < hi")
@@ -64,7 +64,7 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, rtol: float = 0.0,
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise DomainError("no sign change on bracket")
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= max(tol, rtol * abs(hi)):
             break
         mid = 0.5 * (lo + hi)

@@ -145,21 +145,19 @@ def probability_density(f: SampledFunction) -> SampledFunction:
     return replace(f, values=np.abs(f.values) ** 2)
 
 
-def count_radial_nodes(f: SampledFunction, floor: float = 1e-8) -> int:
-    """Sign changes of the (real) radial function away from its tiny tails."""
+def count_radial_nodes(f: SampledFunction) -> int:
+    """Sign changes of the (real) radial function away from its tails below 1e-8 of the peak."""
     v = np.real(f.values)
-    live = np.abs(v) > floor * np.max(np.abs(v))
+    live = np.abs(v) > 1e-8 * np.max(np.abs(v))
     signs = np.sign(v[live])
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-def transformed_equation_residual(params: model.ModelParams, qn: model.QuantumNumbers,
-                                  n_points: int = DEFAULT_POINTS,
-                                  s_window: tuple[float, float] = (0.05, 0.9)) -> float:
+def transformed_equation_residual(params: model.ModelParams, qn: model.QuantumNumbers) -> float:
     """Max pointwise relative residual of the reduced radial equation.
 
     The radial factor R(s) = sqrt(2*pi*r) * psi(r) of the sampled profile,
-    at r = -ln(s)/delta on a uniform grid in s, is pushed through
+    at r = -ln(s)/delta on DEFAULT_POINTS uniform points s in [0.05, 0.9], is pushed through
 
         R'' + R'/s + [ -(eps+b0+b2)s^2 + (2eps+b0-b1)s - (eps+eta) ]
                      / (s^2 (1-s)^2) * R  =  0
@@ -171,7 +169,7 @@ def transformed_equation_residual(params: model.ModelParams, qn: model.QuantumNu
     """
     report = _bound_state(params, qn)
     ds = report.dimensionless
-    s = np.linspace(s_window[0], s_window[1], n_points)
+    s = np.linspace(0.05, 0.9, DEFAULT_POINTS)
     h = s[1] - s[0]
     r = -np.log(s) / params.delta
     radial = np.sqrt(TWO_PI * r) * _radial_profile(params, report, qn.n, r)

@@ -111,7 +111,7 @@ def test_criterion_5_reduced_equation_residual():
     for n, m, b_field, phi in states:
         params = model.ModelParams(delta=0.1, v1=20.0, b_field=b_field).with_flux(phi)
         worst = max(worst, wavefunction.transformed_equation_residual(
-            params, model.QuantumNumbers(n, m), 4096))
+            params, model.QuantumNumbers(n, m)))
     ok = worst <= 1e-6
     assert report(5, ok, f"reduced radial equation residual over {len(states)} "
                          f"states at N=4096: worst {worst:.2e} (tol 1e-6)")

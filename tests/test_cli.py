@@ -462,6 +462,22 @@ def test_figures_skip_unbound_density_curves(tmp_path, capsys):
     assert "no bound state" in capsys.readouterr().err
 
 
+def test_figures_skip_nonfinite_curves(tmp_path, capsys):
+    # the field's coupling overflows: energy and entropy refuse these points as not finite
+    cfg = write_config(tmp_path, "[physical]\nv1 = 20\nb_field = 1e200\n"
+                                 "[grid]\nr_points = 1025\nk_points = 1025\n")
+    outdir = tmp_path / "figs"
+    assert run(["figures", "--config", cfg, "--out", outdir]) == 0
+    err = capsys.readouterr().err
+    written = sorted(p.name for p in outdir.glob("*.dat"))
+    assert written == [f"{fig}_B{b}.dat" for fig in ("fig1a", "fig2a", "figka") for b in (1, 2, 4)]
+    for path in outdir.glob("*.dat"):
+        assert "inf" not in path.read_text() and "nan" not in path.read_text()
+    for name in ("fig1b_alpha0.1", "fig1b_alpha0.2", "fig1b_alpha0.4",
+                 "fig1c_phi1", "fig1c_phi2", "fig1c_phi4"):
+        assert err.count(f"note: {name}: not finite") == 1
+
+
 def test_check_battery_passes(capsys):
     assert cli.main(["check"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -14,6 +14,20 @@ def make_params(**kw):
     return model.ModelParams(**base)
 
 
+def four_term_potential(params, qn, r):
+    """The effective potential's four terms in physical units, written out
+    independently of the couplings: well, field-angular cross term, quadratic
+    field term and barrier."""
+    mass, hbar, delta = params.mass, params.hbar, params.delta
+    wc, alpha, xi, m = params.b_field / mass, params.alpha, params.xi, qn.m
+    em = np.exp(-delta * r)
+    one_minus = -np.expm1(-delta * r)
+    return (-params.v1 * em / r,
+            hbar * wc * (m / alpha**2 + xi / alpha) * em / (one_minus * r),
+            0.5 * mass * wc * wc * em * em / one_minus**2,
+            (hbar * hbar / (2.0 * mass)) * ((m / alpha + xi) ** 2 - 0.25) / r**2)
+
+
 class TestDimensionless:
     def test_zero_field_couplings(self):
         ds = model.dimensionless(make_params(), model.QuantumNumbers(0, 0), 1.0)
@@ -33,6 +47,25 @@ class TestDimensionless:
         ds = model.dimensionless(params, model.QuantumNumbers(0, 1), 1.0)
         assert abs(ds.beta1 - 12.0) < 1e-14
         assert abs(ds.eta - 8.75) < 1e-14
+
+    def test_field_coupling_is_a_correctly_rounded_square(self):
+        # beta2 = f*f with f = mass*omega_c/(hbar*delta), on columns and on floats;
+        # Python's float ** (libm pow) misrounds the square of some of these f
+        rng = np.random.default_rng(25)
+        size = 20000
+        rows = SimpleNamespace(
+            mass=rng.uniform(0.5, 2.0, size), hbar=rng.uniform(0.5, 2.0, size),
+            delta=rng.uniform(0.02, 0.5, size), v1=np.ones(size),
+            b_field=rng.uniform(0.0, 3.0, size), xi=np.zeros(size), alpha=np.ones(size))
+        f = rows.mass * (rows.b_field / rows.mass) / (rows.hbar * rows.delta)
+        assert np.array_equal(model.coupling_constants(rows, model.QuantumNumbers(0, 0))[2], f * f)
+        misrounded = [i for i, x in enumerate(f.tolist()) if x**2 != x * x]
+        assert misrounded
+        for i in misrounded + list(range(20)):
+            params = make_params(mass=float(rows.mass[i]), hbar=float(rows.hbar[i]),
+                                 delta=float(rows.delta[i]), b_field=float(rows.b_field[i]))
+            beta2 = model.coupling_constants(params, model.QuantumNumbers(0, 0))[2]
+            assert beta2 == float(f[i]) * float(f[i])
 
     def test_complex_exponents_flagged_not_raised(self):
         ds = model.dimensionless(make_params(), model.QuantumNumbers(0, 0), -0.5)
@@ -68,20 +101,26 @@ class TestEffectivePotential:
             model.effective_potential(make_params(), model.QuantumNumbers(0, 0), 0.0)
 
     def test_barrier_is_the_spectrum_eta(self):
-        # without well and field only the barrier hbar^2 eta / (2 M r^2) is left
+        # without well and field only the barrier hbar^2 eta / (2 M r^2) is left,
+        # eta = (m/alpha + xi)^2 - 1/4 = 2.3^2 - 0.25
         example = make_params(v1=0.0, alpha=0.5, xi=0.3)
         assert model.effective_potential(example, model.QuantumNumbers(0, 1), 1.0) * 2.0 \
             == pytest.approx(5.04, rel=1e-12)
-        rng = np.random.default_rng(22)
-        r = np.linspace(0.05, 30.0, 9)
-        for _ in range(20):
-            mass, hbar, delta, alpha = rng.uniform(0.2, 3.0, 4).tolist()
-            params = make_params(mass=mass, hbar=hbar, delta=delta, v1=0.0,
-                                 xi=rng.uniform(-2.0, 2.0), alpha=alpha)
-            qn = model.QuantumNumbers(0, int(rng.integers(-3, 4)))
-            eta = model.coupling_constants(params, qn)[3]
-            scaled = model.effective_potential(params, qn, r) * 2.0 * mass * r**2 / hbar**2
-            assert np.allclose(scaled, eta, rtol=1e-12, atol=1e-12)
+
+    def test_matches_the_four_term_physical_form(self):
+        # over the plotted range, with every term live: m != 0, anti-aligned flux, B > 0
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            params = make_params(mass=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 2.0),
+                                 delta=rng.uniform(0.02, 0.5), v1=rng.uniform(0.5, 40.0),
+                                 b_field=rng.uniform(0.1, 3.0), xi=rng.uniform(-2.0, -0.05),
+                                 alpha=rng.uniform(0.2, 1.5))
+            qn = model.QuantumNumbers(0, int(rng.choice([-3, -2, -1, 1, 2, 3])))
+            r = np.linspace(0.02 / params.delta, 4.0 / params.delta, 200)
+            terms = np.abs(four_term_potential(params, qn, r))
+            gap = np.abs(model.effective_potential(params, qn, r)
+                         - sum(four_term_potential(params, qn, r)))
+            assert np.all(gap <= 1e-14 * terms.max(axis=0))
 
 
 class TestGreeneAldrichRatio:
@@ -163,8 +202,8 @@ class TestClosedFormSpectrum:
 
 
     def test_columns_match_the_scalar_wrapper_bit_for_bit(self):
-        # every operand distinct, so a square taken as x*x instead of Python's
-        # pow (they differ in about 0.08% of operands) would show
+        # every operand distinct; both sides square by multiplication, which is
+        # correctly rounded, so columns and floats agree by construction
         rng = np.random.default_rng(8)
         size = 5000
         rows = SimpleNamespace(
